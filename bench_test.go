@@ -136,7 +136,7 @@ func runSteadyStateEpochs(b *testing.B, env *benchEnv, epoch int) {
 	}
 }
 
-func itaBuild(pol window.Policy) core.Engine   { return core.NewITA(pol) }
+func itaBuild(pol window.Policy) core.Engine   { return shard.New(pol, 1) }
 func naiveBuild(pol window.Policy) core.Engine { return core.NewNaive(pol) }
 
 // BenchmarkFig3a — processing time vs query length (paper Figure 3(a)):
@@ -218,7 +218,7 @@ func BenchmarkAblationProbeOrder(b *testing.B) {
 		build func(window.Policy) core.Engine
 	}{
 		{"RoundRobin", func(pol window.Policy) core.Engine {
-			return core.NewITA(pol, core.WithRoundRobinProbe())
+			return shard.New(pol, 1, shard.WithRoundRobinProbe())
 		}},
 		{"Greedy", itaBuild},
 	}
@@ -238,7 +238,7 @@ func BenchmarkAblationRollup(b *testing.B) {
 		build func(window.Policy) core.Engine
 	}{
 		{"Disabled", func(pol window.Policy) core.Engine {
-			return core.NewITA(pol, core.WithoutRollup())
+			return shard.New(pol, 1, shard.WithoutRollup())
 		}},
 		{"Enabled", itaBuild},
 	}
@@ -266,8 +266,8 @@ func BenchmarkAblationKmax(b *testing.B) {
 
 // BenchmarkShardedThroughput — PR-1 experiment: steady-state per-event
 // cost with a heavy standing-query load (10,000 queries), comparing the
-// single-threaded ITA against the sharded engine at several shard
-// counts. The sharded engine's two-phase fan-out parallelizes the
+// one-shard ITA engine ("Single") against several shard counts. The
+// two-phase fan-out of more than one shard parallelizes the
 // per-query maintenance that dominates at this scale; on a
 // GOMAXPROCS=1 host the fan-out degrades to synchronization overhead,
 // so interpret results together with the recorded CPU count (see
@@ -279,7 +279,6 @@ func BenchmarkShardedThroughput(b *testing.B) {
 		build func(window.Policy) core.Engine
 	}{
 		{"Single", itaBuild},
-		{"Shards=1", func(pol window.Policy) core.Engine { return shard.New(pol, 1) }},
 		{"Shards=2", func(pol window.Policy) core.Engine { return shard.New(pol, 2) }},
 		{"Shards=4", func(pol window.Policy) core.Engine { return shard.New(pol, 4) }},
 		{"Shards=8", func(pol window.Policy) core.Engine { return shard.New(pol, 8) }},

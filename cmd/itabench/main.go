@@ -41,10 +41,10 @@ func main() {
 		csvDir  = flag.String("csv", "", "directory to write per-figure CSV files (optional)")
 		quiet   = flag.Bool("q", false, "suppress progress lines")
 		// -exp throughput knobs: the sharding experiment sweeps the
-		// single-threaded engine plus every count in -shards.
+		// one-shard "single" cell plus every count in -shards.
 		queries  = flag.Int("queries", 10000, "throughput/batch: standing queries")
 		shardSet = flag.String("shards", "1,2,4,8", "throughput/batch: comma-separated shard counts")
-		batch    = flag.Int("batch", 64, "throughput: ProcessBatch size")
+		batch    = flag.Int("batch", 64, "reads/recovery/failover/cluster: documents per ingest batch")
 		epochSet = flag.String("epochs", "1,8,64,256", "batch: comma-separated epoch sizes B")
 		events   = flag.Int("events", 2000, "throughput/batch: measured events per configuration")
 		jsonOut  = flag.String("json", "", "throughput/batch/reads: write the report as JSON to this path")
@@ -124,7 +124,7 @@ func main() {
 		fmt.Print(report.Format())
 		return
 	case "throughput":
-		rep, err := harness.Throughput(p, *queries, 10, 1000, *batch, parseInts(*shardSet, "-shards", 0), *events, progress)
+		rep, err := harness.Throughput(p, *queries, 10, 1000, parseInts(*shardSet, "-shards", 0), *events, progress)
 		if err != nil {
 			fail(err)
 		}

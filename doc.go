@@ -41,18 +41,20 @@
 //
 // # Sharded parallel maintenance
 //
-// WithShards(n) replaces the single-threaded maintenance engine with a
-// query-sharded parallel one (Algorithm ShardedIncrementalThreshold):
-// registered queries are partitioned across n shards — n = 0 picks
-// runtime.GOMAXPROCS — each owning the threshold trees, result lists
-// and local thresholds of its queries, while the inverted index and
-// FIFO store remain a single-writer structure owned by the
-// coordinator. Every arrival or expiration is a two-phase event: the
-// coordinator first mutates the index, then all shards concurrently
-// run their per-query maintenance against the now-quiescent index.
-// Because ITA couples queries only through the read-only index,
-// results are identical to the single-threaded engine — the
-// equivalence suite drives both against a brute-force oracle under the
+// Every ITA engine is one coordinator over one or more shards. The
+// coordinator owns the window, the inverted index and the FIFO store
+// as a single-writer structure; each shard owns the threshold trees,
+// result lists and local thresholds of the queries placed on it. Every
+// arrival or expiration is a two-phase event: the coordinator first
+// mutates the index, then the shards run their per-query maintenance
+// against the now-quiescent index. The default engine
+// (IncrementalThreshold) has one shard and runs that maintenance inline
+// on the caller's goroutine. WithShards(n) (Algorithm
+// ShardedIncrementalThreshold) partitions the queries across n shards —
+// n = 0 picks runtime.GOMAXPROCS — that run concurrently on worker
+// goroutines. Because ITA couples queries only through the read-only
+// index, results are identical for every shard count — the equivalence
+// suite drives several counts against a brute-force oracle under the
 // race detector. Choose WithShards when many standing queries make
 // per-event maintenance, not index mutation, the dominant cost, and
 // there are spare cores to fan out to; call Close to release the shard
@@ -86,7 +88,7 @@
 //
 // # Published views and read consistency
 //
-// For the ITA engines (single-threaded and sharded), Results,
+// For the ITA engines (any shard count), Results,
 // ResultsAll, Stats, WindowLen, Queries, DictionarySize and QueryText
 // never acquire the engine lock. At every publication boundary — an
 // epoch flush (every ingest when unbatched), Register, Unregister,
@@ -315,8 +317,8 @@
 //
 // # Compressed posting storage
 //
-// The window side scales the same way: posting lists default to a
-// block-compressed layout (WithPostingLayout, LayoutBlocked). Each
+// The window side scales the same way: posting lists use a
+// block-compressed layout. Each
 // per-term list is an array of ~128-entry flat blocks in impact order,
 // carrying per-block max-weight/min-key/count metadata; packed blocks
 // FOR-code doc ids against the block minimum and store weights exactly,
@@ -330,9 +332,10 @@
 // faster than the uncompressed layout while using under half the
 // memory (BENCH_WINDOW.json, itabench -exp window: 60.8% fewer
 // bytes/posting and 0.89x cold-search latency at the paper-scale
-// 100k-document window). LayoutSlices retains the original layout;
-// the metamorphic suites pin their oracle engines to it, so every
-// equivalence run doubles as a blocked-versus-slice differential twin.
+// 100k-document window). The original slice layout survives only as a
+// test reference, with no public option: the metamorphic, cluster and
+// fault suites pin their oracle engines to it, so every equivalence run
+// doubles as a blocked-versus-slice differential twin.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured comparison of every figure.

@@ -814,7 +814,7 @@ func (e *Engine) unregisterLocked(id QueryID) bool {
 // results reflect flushed epochs only — at most batchSize-1 documents
 // behind the last IngestText; call Flush first for read-your-writes.
 //
-// For the ITA engines (single-threaded and sharded) the read is
+// For the ITA engines (any shard count) the read is
 // wait-free: it loads the published epoch-boundary view and copies it
 // without acquiring the engine lock, so result serving never contends
 // with the ingest pipeline. The returned slice is the caller's to keep.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ita/internal/faults"
+	"ita/internal/invindex"
 )
 
 // This file extends the metamorphic op-sequence generator
@@ -105,7 +106,7 @@ func runReplicatedSequence(t *testing.T, data []byte, seed int64, cfg faults.Con
 	// The reference runs the slice posting layout while the primary and
 	// standby keep the default blocked layout, making every replication
 	// cell a differential twin for the compressed postings too.
-	ref, err := New(pol, WithPostingLayout(LayoutSlices))
+	ref, err := New(pol, withPostingLayout(invindex.LayoutSlices))
 	if err != nil {
 		t.Fatal(err)
 	}

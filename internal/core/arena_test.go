@@ -5,11 +5,23 @@ import (
 	"testing"
 	"time"
 
+	"ita/internal/invindex"
 	"ita/internal/model"
-	"ita/internal/window"
 )
 
-// mkDoc builds a valid document for arena tests.
+// The tests in this package read maintainer internals (the dense arena,
+// the probe trees, the epoch scratch), so they drive a Maintainer over
+// its Index directly; engine-level tests live in the external test
+// package (package core_test) and build engines with shard.New.
+
+// newMaintainer returns an empty maintainer over a fresh index with the
+// engine defaults.
+func newMaintainer() (*Maintainer, *invindex.Index) {
+	index := invindex.NewIndex(1)
+	return NewMaintainer(index, &Stats{}, MaintainerConfig{Seed: 1}), index
+}
+
+// mkDoc builds a valid document for the internal tests.
 func mkDoc(t testing.TB, id model.DocID, at int, postings ...model.Posting) *model.Document {
 	t.Helper()
 	d, err := model.NewDocument(id, time.Unix(int64(at), 0), postings)
@@ -34,30 +46,31 @@ func mkQuery(t testing.TB, id model.QueryID, k int, terms ...model.QueryTerm) *m
 // slots never leak the previous occupant's results, published views or
 // invariants.
 func TestDenseIDReuse(t *testing.T) {
-	e := NewITA(window.Count{N: 64})
+	m, index := newMaintainer()
 	for i := 0; i < 8; i++ {
-		if err := e.Process(mkDoc(t, model.DocID(i+1), i+1,
+		if err := index.Insert(mkDoc(t, model.DocID(i+1), i+1,
 			model.Posting{Term: model.TermID(i % 3), Weight: 0.1 * float64(i+1)})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reader := e.PublishViews() // arm publication
+	m.Publish() // arm publication
+	reader := m.Views()
 
 	for round := 0; round < 10; round++ {
 		// Register a cohort; every round reuses freed dense slots.
 		for id := model.QueryID(1); id <= 20; id++ {
 			term := model.TermID(int(id) % 3)
-			if err := e.Register(mkQuery(t, id, 2, model.QueryTerm{Term: term, Weight: 1})); err != nil {
+			if err := m.Register(mkQuery(t, id, 2, model.QueryTerm{Term: term, Weight: 1})); err != nil {
 				t.Fatalf("round %d: register %d: %v", round, id, err)
 			}
 		}
-		e.PublishViews()
-		if err := e.CheckInvariants(); err != nil {
+		m.Publish()
+		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		want := make(map[model.QueryID][]model.ScoredDoc)
 		for id := model.QueryID(1); id <= 20; id++ {
-			r, ok := e.Result(id)
+			r, ok := m.Result(id)
 			if !ok {
 				t.Fatalf("round %d: query %d missing", round, id)
 			}
@@ -76,10 +89,10 @@ func TestDenseIDReuse(t *testing.T) {
 		// Unregister the odd half; their ids must go fully dark even
 		// though their dense slots are immediately recycled below.
 		for id := model.QueryID(1); id <= 20; id += 2 {
-			if !e.Unregister(id) {
+			if !m.Unregister(id) {
 				t.Fatalf("round %d: unregister %d", round, id)
 			}
-			if _, ok := e.Result(id); ok {
+			if _, ok := m.Result(id); ok {
 				t.Fatalf("round %d: dead query %d still has a result", round, id)
 			}
 			if _, ok := reader.Result(id); ok {
@@ -90,13 +103,13 @@ func TestDenseIDReuse(t *testing.T) {
 		// results must be untouched.
 		for i := 0; i < 10; i++ {
 			id := model.QueryID(1000*(round+1) + i)
-			if err := e.Register(mkQuery(t, id, 2, model.QueryTerm{Term: 1, Weight: 0.5})); err != nil {
+			if err := m.Register(mkQuery(t, id, 2, model.QueryTerm{Term: 1, Weight: 0.5})); err != nil {
 				t.Fatalf("round %d: recycle register %d: %v", round, id, err)
 			}
 		}
-		e.PublishViews()
+		m.Publish()
 		for id := model.QueryID(2); id <= 20; id += 2 {
-			r, _ := e.Result(id)
+			r, _ := m.Result(id)
 			if fmt.Sprint(r) != fmt.Sprint(want[id]) {
 				t.Fatalf("round %d: survivor %d result changed: %v vs %v", round, id, r, want[id])
 			}
@@ -110,19 +123,19 @@ func TestDenseIDReuse(t *testing.T) {
 				t.Fatalf("round %d: dead id %d resurrected by slot reuse", round, id)
 			}
 		}
-		if err := e.CheckInvariants(); err != nil {
+		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("round %d post-churn: %v", round, err)
 		}
 		// Clear the board for the next round (even ids + recycled ones).
 		for id := model.QueryID(2); id <= 20; id += 2 {
-			e.Unregister(id)
+			m.Unregister(id)
 		}
 		for i := 0; i < 10; i++ {
-			e.Unregister(model.QueryID(1000*(round+1) + i))
+			m.Unregister(model.QueryID(1000*(round+1) + i))
 		}
 	}
-	if e.m.n != 0 || len(e.m.free) != int(e.m.next) {
-		t.Fatalf("arena not fully recycled: n=%d free=%d high-water=%d", e.m.n, len(e.m.free), e.m.next)
+	if m.n != 0 || len(m.free) != int(m.next) {
+		t.Fatalf("arena not fully recycled: n=%d free=%d high-water=%d", m.n, len(m.free), m.next)
 	}
 }
 
@@ -131,10 +144,20 @@ func TestDenseIDReuse(t *testing.T) {
 // must shrink the retained capacity back instead of pinning the burst's
 // high-water mark forever.
 func TestScratchShrinksAfterBurst(t *testing.T) {
-	e := NewITA(window.Count{N: 100000})
+	m, index := newMaintainer()
+	// One epoch: the whole batch enters the index (the window never
+	// expires anything here), then the maintainer runs its net pass.
+	processEpoch := func(docs []*model.Document) {
+		t.Helper()
+		res, err := index.ApplyBatch(docs, func(*model.Document, int) bool { return false })
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.HandleEpoch(docs[res.Dropped:], res.Expired)
+	}
 	// Many queries on one shared term so a single epoch touches them all.
 	for id := model.QueryID(1); id <= 2000; id++ {
-		if err := e.Register(mkQuery(t, id, 1, model.QueryTerm{Term: 7, Weight: 1})); err != nil {
+		if err := m.Register(mkQuery(t, id, 1, model.QueryTerm{Term: 7, Weight: 1})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,17 +167,15 @@ func TestScratchShrinksAfterBurst(t *testing.T) {
 	for i := range burst {
 		burst[i] = mkDoc(t, model.DocID(i+1), 1, model.Posting{Term: 7, Weight: 0.5 + float64(i)/1000})
 	}
-	if err := e.ProcessEpoch(burst); err != nil {
-		t.Fatal(err)
-	}
-	high := cap(e.m.epochQueue)
+	processEpoch(burst)
+	high := cap(m.epochQueue)
 	if high < 2000 {
 		t.Fatalf("burst epoch queue capacity %d, want >= 2000", high)
 	}
 	// Steady state: small epochs touching a single disjoint term, far
 	// below a quarter of the retained capacity.
 	next := model.DocID(1000)
-	if err := e.Register(mkQuery(t, 90001, 1, model.QueryTerm{Term: 9, Weight: 1})); err != nil {
+	if err := m.Register(mkQuery(t, 90001, 1, model.QueryTerm{Term: 9, Weight: 1})); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 40; round++ {
@@ -163,18 +184,16 @@ func TestScratchShrinksAfterBurst(t *testing.T) {
 			next++
 			docs[i] = mkDoc(t, next, 2, model.Posting{Term: 9, Weight: 0.1})
 		}
-		if err := e.ProcessEpoch(docs); err != nil {
-			t.Fatal(err)
-		}
+		processEpoch(docs)
 	}
-	if got := cap(e.m.epochQueue); got >= high {
+	if got := cap(m.epochQueue); got >= high {
 		t.Fatalf("epoch queue capacity %d did not shrink from burst high-water %d", got, high)
 	}
-	if got := cap(e.m.epochQueue); got > 512 {
+	if got := cap(m.epochQueue); got > 512 {
 		t.Fatalf("epoch queue capacity %d, want shrunk to the working-set scale", got)
 	}
-	// The engine still works after the shrink.
-	if err := e.CheckInvariants(); err != nil {
+	// The maintainer still works after the shrink.
+	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"ita/internal/core"
 	"ita/internal/model"
+	"ita/internal/shard"
 	"ita/internal/window"
 )
 
@@ -42,7 +44,7 @@ func benchDocs(n, vocab, termsPerDoc int, seed int64) []*model.Document {
 func BenchmarkITAIndexOnly(b *testing.B) {
 	for _, terms := range []int{20, 175} {
 		b.Run(fmt.Sprintf("terms=%d", terms), func(b *testing.B) {
-			e := NewITA(window.Count{N: 1000})
+			e := shard.New(window.Count{N: 1000}, 1)
 			docs := benchDocs(4096, 50000, terms, 1)
 			for i := 0; i < 1000; i++ {
 				if err := e.Process(docs[i]); err != nil {
@@ -67,7 +69,7 @@ func BenchmarkITAIndexOnly(b *testing.B) {
 // BenchmarkITAProbeHit measures the arrival path when every arrival
 // affects a query (worst case: the query monitors the whole space).
 func BenchmarkITAProbeHit(b *testing.B) {
-	e := NewITA(window.Count{N: 1000})
+	e := shard.New(window.Count{N: 1000}, 1)
 	q, err := model.NewQuery(1, 10, []model.QueryTerm{{Term: 1, Weight: 1}})
 	if err != nil {
 		b.Fatal(err)
@@ -95,7 +97,7 @@ func BenchmarkITAProbeHit(b *testing.B) {
 // BenchmarkITARegister measures the initial top-k search over a warm
 // window.
 func BenchmarkITARegister(b *testing.B) {
-	e := NewITA(window.Count{N: 1000})
+	e := shard.New(window.Count{N: 1000}, 1)
 	docs := benchDocs(1000, 2000, 50, 3)
 	for _, d := range docs {
 		if err := e.Process(d); err != nil {
@@ -133,7 +135,7 @@ func BenchmarkITARegister(b *testing.B) {
 func BenchmarkNaiveRescan(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			e := NewNaive(window.Count{N: n})
+			e := core.NewNaive(window.Count{N: n})
 			docs := benchDocs(n, 2000, 50, 5)
 			for _, d := range docs {
 				if err := e.Process(d); err != nil {
@@ -149,11 +151,10 @@ func BenchmarkNaiveRescan(b *testing.B) {
 			if err := e.Register(q); err != nil {
 				b.Fatal(err)
 			}
-			st := e.queries[1]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.rescan(st)
+				e.Rescan(1)
 			}
 		})
 	}

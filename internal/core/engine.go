@@ -1,5 +1,7 @@
-// Package core implements the continuous text search engines: the
-// paper's Incremental Threshold Algorithm (ITA), the Naïve baseline of
+// Package core implements the continuous text search algorithms: the
+// per-query maintenance of the paper's Incremental Threshold Algorithm
+// (ITA, the Maintainer — its coordinator, which owns the window and the
+// inverted index, is internal/shard's Engine), the Naïve baseline of
 // §II enhanced with the top-kmax materialized-view technique of Yi et
 // al. (the §IV competitor), and a brute-force Oracle used to validate
 // both.
@@ -68,14 +70,15 @@ type Engine interface {
 	Stats() *Stats
 }
 
-// EpochProcessor is implemented by engines (ITA and the sharded ITA)
-// that can process a batch of arrivals — plus every expiration the
-// window policy derives from it — as a single epoch: index mutations
-// are staged in one pass, and per-query maintenance runs once per
-// affected query with the batch's net effect. Per-query results at the
-// epoch boundary are identical to a Process loop over the same
-// documents; intermediate per-event states are never materialized, and
-// operation counters reflect the amortized work actually performed.
+// EpochProcessor is implemented by engines (the ITA engine of
+// internal/shard) that can process a batch of arrivals — plus every
+// expiration the window policy derives from it — as a single epoch:
+// index mutations are staged in one pass, and per-query maintenance
+// runs once per affected query with the batch's net effect. Per-query
+// results at the epoch boundary are identical to a Process loop over
+// the same documents; intermediate per-event states are never
+// materialized, and operation counters reflect the amortized work
+// actually performed.
 type EpochProcessor interface {
 	ProcessEpoch(docs []*model.Document) error
 }
@@ -138,12 +141,12 @@ func (m *Memory) Merge(o Memory) {
 }
 
 // MemoryReporter is implemented by engines that can account their heap
-// footprint per component (ITA and the sharded ITA).
+// footprint per component (the ITA engine of internal/shard).
 type MemoryReporter interface {
 	MemoryUsage() Memory
 }
 
-// Add accumulates o into s field-wise. The sharded engine keeps one
+// Add accumulates o into s field-wise. The ITA engine keeps one
 // Stats block per shard (so counting stays contention-free during the
 // parallel fan-out) and merges them on read.
 func (s *Stats) Add(o *Stats) {

@@ -1,12 +1,15 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"ita/internal/core"
 	"ita/internal/model"
+	"ita/internal/shard"
 	"ita/internal/window"
 )
 
@@ -100,8 +103,8 @@ func TestEpochMatchesSerialByteIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d_w%d_b%d", cfg.seed, cfg.win, cfg.batch), func(t *testing.T) {
 			g := newContGen(cfg.seed, cfg.vocab)
 			pol := window.Count{N: cfg.win}
-			serial := NewITA(pol)
-			epoch := NewITA(pol)
+			serial := shard.New(pol, 1)
+			epoch := shard.New(pol, 1)
 
 			var queries []*model.Query
 			for i := 0; i < 6; i++ {
@@ -173,8 +176,8 @@ func TestEpochAgreesOnTieHeavyStreams(t *testing.T) {
 		t.Run(fmt.Sprintf("b%d", batch), func(t *testing.T) {
 			g := newStreamGen(11, 10)
 			pol := window.Count{N: 8}
-			oracle := NewOracle(pol)
-			epoch := NewITA(pol)
+			oracle := core.NewOracle(pol)
+			epoch := shard.New(pol, 1)
 			m := &mirror{n: 8}
 
 			var queries []*model.Query
@@ -222,8 +225,8 @@ func TestEpochTimeWindow(t *testing.T) {
 	span := 40 * time.Millisecond
 	pol := window.Span{D: span}
 	g := newContGen(21, 15)
-	serial := NewITA(pol)
-	epoch := NewITA(pol)
+	serial := shard.New(pol, 1)
+	epoch := shard.New(pol, 1)
 
 	var queries []*model.Query
 	for i := 0; i < 4; i++ {
@@ -284,11 +287,11 @@ func TestEpochTimeWindow(t *testing.T) {
 // searches and index operations than event-serial processing of the
 // same stream.
 func TestEpochAmortizesWork(t *testing.T) {
-	build := func() (*ITA, []*model.Query, *contGen) {
+	build := func() (*shard.Engine, []*model.Query, *contGen) {
 		g := newContGen(77, 10)
 		// Tiny floor margins so the 8-document window actually produces
 		// refills to amortize; the defaults would hold every match in R.
-		e := NewITA(window.Count{N: 8}, WithFloorMargins(1, 1))
+		e := shard.New(window.Count{N: 8}, 1, shard.WithFloorMargins(1, 1))
 		var qs []*model.Query
 		for i := 0; i < 8; i++ {
 			q := g.query(t, model.QueryID(i+1))
@@ -327,5 +330,47 @@ func TestEpochAmortizesWork(t *testing.T) {
 	}
 	if es.Epochs != total/batch {
 		t.Errorf("Epochs = %d, want %d", es.Epochs, total/batch)
+	}
+}
+
+// TestPublishedViewsEpochPath checks that the epoch pipeline marks every
+// touched query dirty: after ProcessEpoch + PublishViews the reader
+// matches the locked result for all affected queries.
+func TestPublishedViewsEpochPath(t *testing.T) {
+	e := shard.New(window.Count{N: 4}, 1)
+	for _, q := range []struct {
+		id   model.QueryID
+		term model.TermID
+	}{{1, 1}, {2, 2}} {
+		mq, err := model.NewQuery(q.id, 2, []model.QueryTerm{{Term: q.term, Weight: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Register(mq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reader := e.PublishViews()
+
+	docs := []*model.Document{
+		doc(t, 1, 0, model.Posting{Term: 1, Weight: 0.9}),
+		doc(t, 2, 1, model.Posting{Term: 2, Weight: 0.8}),
+		doc(t, 3, 2, model.Posting{Term: 1, Weight: 0.7}),
+		doc(t, 4, 3, model.Posting{Term: 2, Weight: 0.6}),
+		doc(t, 5, 4, model.Posting{Term: 1, Weight: 0.5}), // expires doc 1 from the 4-window
+	}
+	if err := e.ProcessEpoch(docs); err != nil {
+		t.Fatal(err)
+	}
+	e.PublishViews()
+	for _, id := range []model.QueryID{1, 2} {
+		f, ok := reader.Result(id)
+		if !ok {
+			t.Fatalf("query %d unpublished after epoch", id)
+		}
+		locked, _ := e.Result(id)
+		if !reflect.DeepEqual(f.Docs, locked) {
+			t.Fatalf("query %d: published %v, locked %v", id, f.Docs, locked)
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"ita/internal/core"
 	"ita/internal/model"
+	"ita/internal/shard"
 	"ita/internal/window"
 )
 
@@ -139,13 +141,13 @@ func TestEnginesAgreeOnRandomStreams(t *testing.T) {
 			g := newStreamGen(cfg.seed, cfg.vocab)
 			pol := window.Count{N: cfg.win}
 
-			oracle := NewOracle(pol)
-			engines := []Engine{
-				NewITA(pol),
-				NewITA(pol, WithRoundRobinProbe()),
-				NewITA(pol, WithoutRollup()),
-				NewNaive(pol, WithKmax(func(k int) int { return k })),
-				NewNaive(pol),
+			oracle := core.NewOracle(pol)
+			engines := []core.Engine{
+				shard.New(pol, 1),
+				shard.New(pol, 1, shard.WithRoundRobinProbe()),
+				shard.New(pol, 1, shard.WithoutRollup()),
+				core.NewNaive(pol, core.WithKmax(func(k int) int { return k })),
+				core.NewNaive(pol),
 			}
 			tags := []string{"ita", "ita-rr", "ita-norollup", "naive-plain", "naive-2k"}
 
@@ -195,7 +197,7 @@ func TestEnginesAgreeOnRandomStreams(t *testing.T) {
 					}
 				}
 				for ei, e := range engines {
-					if ita, ok := e.(*ITA); ok {
+					if ita, ok := e.(*shard.Engine); ok {
 						if err := ita.CheckInvariants(); err != nil {
 							t.Fatalf("step %d %s: %v", step, tags[ei], err)
 						}
@@ -230,8 +232,8 @@ func TestEnginesAgreeTimeWindow(t *testing.T) {
 	span := 40 * time.Millisecond
 	pol := window.Span{D: span}
 
-	oracle := NewOracle(pol)
-	engines := []Engine{NewITA(pol), NewNaive(pol)}
+	oracle := core.NewOracle(pol)
+	engines := []core.Engine{shard.New(pol, 1), core.NewNaive(pol)}
 	tags := []string{"ita", "naive"}
 
 	var queries []*model.Query
@@ -280,7 +282,7 @@ func TestEnginesAgreeTimeWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := engines[0].(*ITA).CheckInvariants(); err != nil {
+		if err := engines[0].(*shard.Engine).CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		truthFor := func(q *model.Query) map[model.DocID]float64 {

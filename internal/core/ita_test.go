@@ -1,12 +1,20 @@
-package core
+package core_test
 
 import (
 	"testing"
 	"time"
 
+	"ita/internal/core"
 	"ita/internal/model"
+	"ita/internal/shard"
 	"ita/internal/window"
 )
+
+// The engine-level tests of the ITA maintenance algorithm. They build
+// the engine with shard.New(policy, 1, ...) — the single-shard,
+// inline-running ITA coordinator — and observe maintenance through the
+// engine's public surface: results, counters, and the exported
+// per-query state (floor F and result list R).
 
 // Term ids for the narrative tests. A and B are the query terms (the
 // paper's "tower" and "white"); C is background noise.
@@ -35,7 +43,7 @@ func query(t *testing.T, id model.QueryID, k int, terms ...model.QueryTerm) *mod
 	return q
 }
 
-func wantResult(t *testing.T, e Engine, id model.QueryID, want []model.ScoredDoc) {
+func wantResult(t *testing.T, e core.Engine, id model.QueryID, want []model.ScoredDoc) {
 	t.Helper()
 	got, ok := e.Result(id)
 	if !ok {
@@ -57,11 +65,22 @@ func approx(a, b float64) bool {
 	return d < 1e-12 && d > -1e-12
 }
 
-func mustCheck(t *testing.T, e *ITA) {
+func mustCheck(t *testing.T, e *shard.Engine) {
 	t.Helper()
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
+}
+
+// state returns query id's exported floor F and result list R (in
+// result order).
+func state(t *testing.T, e *shard.Engine, id model.QueryID) core.QueryState {
+	t.Helper()
+	st, ok := e.ExportQueryState(id)
+	if !ok {
+		t.Fatalf("query %d unknown", id)
+	}
+	return st
 }
 
 // TestITANarrative walks the engine through the full floor lifecycle
@@ -75,7 +94,7 @@ func mustCheck(t *testing.T, e *ITA) {
 // Margins (1,1) make the rebuild target k+1=3 and the raise trigger
 // |R| > 4.
 func TestITANarrative(t *testing.T) {
-	e := NewITA(window.Count{N: 8}, WithFloorMargins(1, 1))
+	e := shard.New(window.Count{N: 8}, 1, shard.WithFloorMargins(1, 1))
 	// Initial window: impact lists
 	//   L_A: (0.10,d1) (0.08,d2) (0.07,d5)
 	//   L_B: (0.08,d3) (0.06,d2) (0.04,d4)
@@ -103,12 +122,11 @@ func TestITANarrative(t *testing.T) {
 	// 0.5·0.07 = 0.035 ≤ Kth(3) = 0.05 stops the scan with d5 unread.
 	// F = Kth(3) = 0.05 purges d4.
 	wantResult(t, e, 1, []model.ScoredDoc{{Doc: 2, Score: 0.10}, {Doc: 3, Score: 0.08}})
-	qs := e.m.lookup(1)
-	if qs.r.Len() != 3 {
-		t.Fatalf("|R| = %d, want 3 (d2, d3, d1)", qs.r.Len())
+	if st := state(t, e, 1); len(st.R) != 3 {
+		t.Fatalf("|R| = %d, want 3 (d2, d3, d1)", len(st.R))
 	}
-	if !approx(qs.f, 0.05) {
-		t.Fatalf("floor = %g, want 0.05", qs.f)
+	if f := state(t, e, 1).F; !approx(f, 0.05) {
+		t.Fatalf("floor = %g, want 0.05", f)
 	}
 	if e.Stats().SearchReads != 5 || e.Stats().ScoreComputations != 4 {
 		t.Fatalf("search reads/scores = %d/%d, want 5/4",
@@ -127,8 +145,8 @@ func TestITANarrative(t *testing.T) {
 	}
 	mustCheck(t, e)
 	wantResult(t, e, 1, []model.ScoredDoc{{Doc: 9, Score: 0.13}, {Doc: 2, Score: 0.10}})
-	if qs.r.Len() != 4 || e.Stats().RollupSteps != 0 {
-		t.Fatalf("|R| = %d, rollup steps = %d; want 4, 0", qs.r.Len(), e.Stats().RollupSteps)
+	if n := len(state(t, e, 1).R); n != 4 || e.Stats().RollupSteps != 0 {
+		t.Fatalf("|R| = %d, rollup steps = %d; want 4, 0", n, e.Stats().RollupSteps)
 	}
 
 	// Arrival of d10 (A:0.12): S(d10)=0.06 ≥ F joins R, |R|=5 > 4 trips
@@ -139,14 +157,14 @@ func TestITANarrative(t *testing.T) {
 	}
 	mustCheck(t, e)
 	wantResult(t, e, 1, []model.ScoredDoc{{Doc: 9, Score: 0.13}, {Doc: 2, Score: 0.10}})
-	if !approx(qs.f, 0.08) {
-		t.Fatalf("floor after raise = %g, want 0.08", qs.f)
+	if f := state(t, e, 1).F; !approx(f, 0.08) {
+		t.Fatalf("floor after raise = %g, want 0.08", f)
 	}
 	if e.Stats().RollupSteps != 1 || e.Stats().RollupDrops != 3 {
 		t.Fatalf("rollup steps/drops = %d/%d, want 1/3", e.Stats().RollupSteps, e.Stats().RollupDrops)
 	}
-	if qs.r.Len() != 3 {
-		t.Fatalf("|R| = %d, want 3 (d9, d2, d3)", qs.r.Len())
+	if n := len(state(t, e, 1).R); n != 3 {
+		t.Fatalf("|R| = %d, want 3 (d9, d2, d3)", n)
 	}
 
 	// Arrival of d11 (A:0.05): its contribution is below the A bound
@@ -198,11 +216,12 @@ func TestITANarrative(t *testing.T) {
 		t.Fatalf("refills = %d, want 1", e.Stats().Refills)
 	}
 	wantResult(t, e, 1, []model.ScoredDoc{{Doc: 9, Score: 0.13}, {Doc: 10, Score: 0.06}})
-	if !approx(qs.f, 0.04) {
-		t.Fatalf("floor after refill = %g, want 0.04", qs.f)
+	st := state(t, e, 1)
+	if !approx(st.F, 0.04) {
+		t.Fatalf("floor after refill = %g, want 0.04", st.F)
 	}
-	if qs.r.Len() != 3 {
-		t.Fatalf("|R| = %d, want 3 (d9, d10, d4)", qs.r.Len())
+	if len(st.R) != 3 {
+		t.Fatalf("|R| = %d, want 3 (d9, d10, d4)", len(st.R))
 	}
 }
 
@@ -210,7 +229,7 @@ func TestITAInitialSearchKeepsMargin(t *testing.T) {
 	// The initial rebuild must retain the margin of below-top-k
 	// documents in R; without it every near-top expiration would force
 	// a rebuild.
-	e := NewITA(window.Count{N: 100})
+	e := shard.New(window.Count{N: 100}, 1)
 	for i := 1; i <= 10; i++ {
 		w := float64(i) / 20 // 0.05 .. 0.50
 		if err := e.Process(doc(t, model.DocID(i), i, model.Posting{Term: termA, Weight: w})); err != nil {
@@ -226,18 +245,18 @@ func TestITAInitialSearchKeepsMargin(t *testing.T) {
 	// stops there: R holds the target count — a tgtMargin of
 	// below-top-k members — with the floor at the target-th score.
 	wantResult(t, e, 1, []model.ScoredDoc{{Doc: 10, Score: 0.50}, {Doc: 9, Score: 0.45}, {Doc: 8, Score: 0.40}})
-	qs := e.m.lookup(1)
-	target := 3 + defaultTargetMargin
-	if qs.r.Len() != target || qs.f <= 0 || qs.f != qs.r.Kth(target) {
-		t.Fatalf("|R| = %d floor = %g, want %d members with the floor at the %d-th score %g",
-			qs.r.Len(), qs.f, target, target, qs.r.Kth(target))
+	st := state(t, e, 1)
+	target := 3 + core.DefaultTargetMargin
+	if len(st.R) != target || st.F <= 0 || st.F != st.R[target-1].Score {
+		t.Fatalf("|R| = %d floor = %g, want %d members with the floor at the %d-th score (R = %v)",
+			len(st.R), st.F, target, target, st.R)
 	}
 }
 
 func TestITAQueryTermAbsentFromWindow(t *testing.T) {
 	// A query over a term no valid document contains must still monitor
 	// future arrivals of that term.
-	e := NewITA(window.Count{N: 10})
+	e := shard.New(window.Count{N: 10}, 1)
 	if err := e.Process(doc(t, 1, 0, model.Posting{Term: termC, Weight: 0.9})); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +275,7 @@ func TestITAQueryTermAbsentFromWindow(t *testing.T) {
 }
 
 func TestITAEmptyWindowRegistration(t *testing.T) {
-	e := NewITA(window.Count{N: 5})
+	e := shard.New(window.Count{N: 5}, 1)
 	q := query(t, 7, 3, model.QueryTerm{Term: termA, Weight: 1})
 	if err := e.Register(q); err != nil {
 		t.Fatal(err)
@@ -271,7 +290,7 @@ func TestITAEmptyWindowRegistration(t *testing.T) {
 }
 
 func TestITAKLargerThanWindow(t *testing.T) {
-	e := NewITA(window.Count{N: 3})
+	e := shard.New(window.Count{N: 3}, 1)
 	for i := 1; i <= 3; i++ {
 		if err := e.Process(doc(t, model.DocID(i), i, model.Posting{Term: termA, Weight: float64(i) / 10})); err != nil {
 			t.Fatal(err)
@@ -286,7 +305,7 @@ func TestITAKLargerThanWindow(t *testing.T) {
 }
 
 func TestITADuplicateDocumentRejected(t *testing.T) {
-	e := NewITA(window.Count{N: 5})
+	e := shard.New(window.Count{N: 5}, 1)
 	d := doc(t, 1, 0, model.Posting{Term: termA, Weight: 0.5})
 	if err := e.Process(d); err != nil {
 		t.Fatal(err)
@@ -300,7 +319,7 @@ func TestITADuplicateDocumentRejected(t *testing.T) {
 }
 
 func TestITADuplicateQueryRejected(t *testing.T) {
-	e := NewITA(window.Count{N: 5})
+	e := shard.New(window.Count{N: 5}, 1)
 	q := query(t, 1, 1, model.QueryTerm{Term: termA, Weight: 1})
 	if err := e.Register(q); err != nil {
 		t.Fatal(err)
@@ -311,7 +330,7 @@ func TestITADuplicateQueryRejected(t *testing.T) {
 }
 
 func TestITAUnregister(t *testing.T) {
-	e := NewITA(window.Count{N: 5})
+	e := shard.New(window.Count{N: 5}, 1)
 	for i := 1; i <= 3; i++ {
 		if err := e.Process(doc(t, model.DocID(i), i, model.Posting{Term: termA, Weight: float64(i) / 10})); err != nil {
 			t.Fatal(err)
@@ -330,8 +349,8 @@ func TestITAUnregister(t *testing.T) {
 	if _, ok := e.Result(1); ok {
 		t.Fatal("Result after Unregister succeeded")
 	}
-	if len(e.m.trees) != 0 {
-		t.Fatalf("threshold trees leaked: %d", len(e.m.trees))
+	if b := e.MemoryUsage().TreeBytes; b != 0 {
+		t.Fatalf("threshold trees leaked: %d bytes", b)
 	}
 	mustCheck(t, e)
 	// The stream keeps flowing without the query.
@@ -341,7 +360,7 @@ func TestITAUnregister(t *testing.T) {
 }
 
 func TestITATimeWindow(t *testing.T) {
-	e := NewITA(window.Span{D: 100 * time.Millisecond})
+	e := shard.New(window.Span{D: 100 * time.Millisecond}, 1)
 	base := time.Unix(0, 0)
 	mk := func(id model.DocID, at time.Duration, w float64) *model.Document {
 		d, err := model.NewDocument(id, base.Add(at), []model.Posting{{Term: termA, Weight: w}})
@@ -379,7 +398,7 @@ func TestITATimeWindow(t *testing.T) {
 }
 
 func TestITAZeroScoreArrivalIgnored(t *testing.T) {
-	e := NewITA(window.Count{N: 10})
+	e := shard.New(window.Count{N: 10}, 1)
 	q := query(t, 1, 2, model.QueryTerm{Term: termA, Weight: 1})
 	if err := e.Register(q); err != nil {
 		t.Fatal(err)
@@ -403,7 +422,7 @@ func TestITAZeroScoreArrivalIgnored(t *testing.T) {
 }
 
 func TestITARollupDisabledStaysCorrect(t *testing.T) {
-	e := NewITA(window.Count{N: 20}, WithoutRollup())
+	e := shard.New(window.Count{N: 20}, 1, shard.WithoutRollup())
 	q := query(t, 1, 2,
 		model.QueryTerm{Term: termA, Weight: 0.5},
 		model.QueryTerm{Term: termB, Weight: 1.0})
@@ -424,7 +443,7 @@ func TestITARollupDisabledStaysCorrect(t *testing.T) {
 		t.Fatalf("rollup steps = %d with rollup disabled", e.Stats().RollupSteps)
 	}
 	// Cross-check the final answer against the oracle.
-	o := NewOracle(window.Count{N: 20})
+	o := core.NewOracle(window.Count{N: 20})
 	if err := o.Register(q); err != nil {
 		t.Fatal(err)
 	}

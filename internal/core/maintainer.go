@@ -110,9 +110,9 @@ type Maintainer struct {
 	// and the queries whose results changed since the last Publish. See
 	// view.go for the consistency model. Dirty tracking is armed by the
 	// first Publish call: the facade arms it at construction (serving
-	// reads is its job), while core-level users that never publish —
-	// the figure benchmarks and throughput harnesses driving ITA and
-	// shard.Engine directly — pay nothing for the publication machinery.
+	// reads is its job), while callers that never publish — the figure
+	// benchmarks and throughput harnesses driving shard.Engine directly —
+	// pay nothing for the publication machinery.
 	views     Views
 	pubDirty  []*queryState
 	publishOn bool
@@ -140,8 +140,8 @@ type epochWork struct {
 	dels      []*model.Document
 }
 
-// MaintainerConfig carries the tuning knobs shared by the single-threaded
-// and sharded engines.
+// MaintainerConfig carries the maintenance tuning knobs; the ITA engine
+// (internal/shard) hands one copy to every shard's maintainer.
 type MaintainerConfig struct {
 	Seed            uint64
 	DisableRollup   bool // ablation A2

@@ -7,11 +7,19 @@ import (
 	"ita/internal/window"
 )
 
+// Term ids for the baseline tests: A is the query term, B and C are
+// background noise.
+const (
+	termA model.TermID = 1
+	termB model.TermID = 2
+	termC model.TermID = 3
+)
+
 func TestNaivePlainRescansOnEveryTopKDeletion(t *testing.T) {
 	// With kmax = k, any expiry of a top-k document must trigger a full
 	// rescan — the behaviour of the paper's unenhanced baseline.
 	e := NewNaive(window.Count{N: 3}, WithKmax(func(k int) int { return k }))
-	q := query(t, 1, 2, model.QueryTerm{Term: termA, Weight: 1})
+	q := mkQuery(t, 1, 2, model.QueryTerm{Term: termA, Weight: 1})
 	if err := e.Register(q); err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +29,7 @@ func TestNaivePlainRescansOnEveryTopKDeletion(t *testing.T) {
 	}
 	// Fill the window with matching docs: every expiry is a view hit.
 	for i := 1; i <= 10; i++ {
-		if err := e.Process(doc(t, model.DocID(i), i, model.Posting{Term: termA, Weight: float64(i%5+1) / 10})); err != nil {
+		if err := e.Process(mkDoc(t, model.DocID(i), i, model.Posting{Term: termA, Weight: float64(i%5+1) / 10})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,13 +44,13 @@ func TestNaiveKmaxToleratesDeletions(t *testing.T) {
 	// With kmax = 2k, the view absorbs kmax−k deletions of its members
 	// before the first rescan; the next one triggers it.
 	e := NewNaive(window.Count{N: 4})
-	q := query(t, 1, 2, model.QueryTerm{Term: termA, Weight: 1}) // kmax = 4
+	q := mkQuery(t, 1, 2, model.QueryTerm{Term: termA, Weight: 1}) // kmax = 4
 	if err := e.Register(q); err != nil {
 		t.Fatal(err)
 	}
 	// Fill the window with 4 matching docs (all enter the view).
 	for i := 1; i <= 4; i++ {
-		if err := e.Process(doc(t, model.DocID(i), i, model.Posting{Term: termA, Weight: float64(5-i) / 10})); err != nil {
+		if err := e.Process(mkDoc(t, model.DocID(i), i, model.Posting{Term: termA, Weight: float64(5-i) / 10})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +58,7 @@ func TestNaiveKmaxToleratesDeletions(t *testing.T) {
 	// Two non-matching arrivals expire docs 1 and 2 — both view
 	// members. View shrinks 4 → 3 → 2 = k: no rescan yet.
 	for i := 5; i <= 6; i++ {
-		if err := e.Process(doc(t, model.DocID(i), i, model.Posting{Term: termC, Weight: 0.5})); err != nil {
+		if err := e.Process(mkDoc(t, model.DocID(i), i, model.Posting{Term: termC, Weight: 0.5})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +66,7 @@ func TestNaiveKmaxToleratesDeletions(t *testing.T) {
 		t.Fatalf("kmax view rescanned %d times, want 0 (view 4→2 = k)", got)
 	}
 	// One more view expiry drops it below k: now a rescan must happen.
-	if err := e.Process(doc(t, 7, 7, model.Posting{Term: termC, Weight: 0.5})); err != nil {
+	if err := e.Process(mkDoc(t, 7, 7, model.Posting{Term: termC, Weight: 0.5})); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().Rescans - baseline; got != 1 {
@@ -70,13 +78,13 @@ func TestNaiveFenceSkipsWeakArrivals(t *testing.T) {
 	// Once the view is full at kmax, arrivals scoring at or below the
 	// fence must not be admitted.
 	e := NewNaive(window.Count{N: 100})
-	q := query(t, 1, 1, model.QueryTerm{Term: termA, Weight: 1}) // kmax = 2
+	q := mkQuery(t, 1, 1, model.QueryTerm{Term: termA, Weight: 1}) // kmax = 2
 	if err := e.Register(q); err != nil {
 		t.Fatal(err)
 	}
 	weights := []float64{0.5, 0.4, 0.3, 0.2}
 	for i, w := range weights {
-		if err := e.Process(doc(t, model.DocID(i+1), i+1, model.Posting{Term: termA, Weight: w})); err != nil {
+		if err := e.Process(mkDoc(t, model.DocID(i+1), i+1, model.Posting{Term: termA, Weight: w})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,12 +109,12 @@ func TestNaiveFenceSkipsWeakArrivals(t *testing.T) {
 
 func TestNaiveZeroScoreDocsStayOut(t *testing.T) {
 	e := NewNaive(window.Count{N: 10})
-	q := query(t, 1, 3, model.QueryTerm{Term: termA, Weight: 1})
+	q := mkQuery(t, 1, 3, model.QueryTerm{Term: termA, Weight: 1})
 	if err := e.Register(q); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 5; i++ {
-		if err := e.Process(doc(t, model.DocID(i), i, model.Posting{Term: termB, Weight: 0.5})); err != nil {
+		if err := e.Process(mkDoc(t, model.DocID(i), i, model.Posting{Term: termB, Weight: 0.5})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +129,7 @@ func TestNaiveZeroScoreDocsStayOut(t *testing.T) {
 
 func TestNaiveUnregisterStopsWork(t *testing.T) {
 	e := NewNaive(window.Count{N: 5})
-	q := query(t, 1, 2, model.QueryTerm{Term: termA, Weight: 1})
+	q := mkQuery(t, 1, 2, model.QueryTerm{Term: termA, Weight: 1})
 	if err := e.Register(q); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +137,7 @@ func TestNaiveUnregisterStopsWork(t *testing.T) {
 		t.Fatal("unregister failed")
 	}
 	before := e.Stats().ScoreComputations
-	if err := e.Process(doc(t, 1, 1, model.Posting{Term: termA, Weight: 0.5})); err != nil {
+	if err := e.Process(mkDoc(t, 1, 1, model.Posting{Term: termA, Weight: 0.5})); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats().ScoreComputations != before {
@@ -139,13 +147,13 @@ func TestNaiveUnregisterStopsWork(t *testing.T) {
 
 func TestOracleResultOrder(t *testing.T) {
 	e := NewOracle(window.Count{N: 10})
-	q := query(t, 1, 3, model.QueryTerm{Term: termA, Weight: 1})
+	q := mkQuery(t, 1, 3, model.QueryTerm{Term: termA, Weight: 1})
 	if err := e.Register(q); err != nil {
 		t.Fatal(err)
 	}
 	// Include a score tie: docs 2 and 3 both at 0.4.
 	for i, w := range []float64{0.9, 0.4, 0.4, 0.1} {
-		if err := e.Process(doc(t, model.DocID(i+1), i+1, model.Posting{Term: termA, Weight: w})); err != nil {
+		if err := e.Process(mkDoc(t, model.DocID(i+1), i+1, model.Posting{Term: termA, Weight: w})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,11 +1,13 @@
-package core
+package core_test
 
 import (
 	"math/rand"
 	"testing"
 	"time"
 
+	"ita/internal/core"
 	"ita/internal/model"
+	"ita/internal/shard"
 	"ita/internal/vsm"
 	"ita/internal/window"
 )
@@ -44,14 +46,14 @@ func TestEnginesAgreeUnderOkapiWeights(t *testing.T) {
 	}
 
 	pol := window.Count{N: 12}
-	oracle := NewOracle(pol)
-	ita := NewITA(pol)
-	naive := NewNaive(pol)
+	oracle := core.NewOracle(pol)
+	ita := shard.New(pol, 1)
+	naive := core.NewNaive(pol)
 	var queries []*model.Query
 	for i := 0; i < 5; i++ {
 		q := mkQuery(model.QueryID(i + 1))
 		queries = append(queries, q)
-		for _, e := range []Engine{oracle, ita, naive} {
+		for _, e := range []core.Engine{oracle, ita, naive} {
 			if err := e.Register(q); err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +67,7 @@ func TestEnginesAgreeUnderOkapiWeights(t *testing.T) {
 		if len(win) > pol.N {
 			win = win[1:]
 		}
-		for _, e := range []Engine{oracle, ita, naive} {
+		for _, e := range []core.Engine{oracle, ita, naive} {
 			if err := e.Process(d); err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +81,7 @@ func TestEnginesAgreeUnderOkapiWeights(t *testing.T) {
 				truth[wd.ID] = model.Score(q, wd)
 			}
 			want, _ := oracle.Result(q.ID)
-			for _, e := range []Engine{ita, naive} {
+			for _, e := range []core.Engine{ita, naive} {
 				got, _ := e.Result(q.ID)
 				if err := checkAgainstOracle(e.Name(), got, want, truth); err != nil {
 					t.Fatalf("step %d query %d: %v", step, q.ID, err)

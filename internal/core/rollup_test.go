@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"ita/internal/core"
 	"ita/internal/model"
+	"ita/internal/shard"
 	"ita/internal/window"
 )
 
@@ -14,11 +16,11 @@ import (
 // raise; the oracle cross-check pins the results at every step.
 func TestRollupTieAtKthGuard(t *testing.T) {
 	pol := window.Count{N: 10}
-	e := NewITA(pol, WithFloorMargins(1, 1))
-	o := NewOracle(pol)
+	e := shard.New(pol, 1, shard.WithFloorMargins(1, 1))
+	o := core.NewOracle(pol)
 
 	q := query(t, 1, 2, model.QueryTerm{Term: termA, Weight: 1})
-	for _, eng := range []Engine{e, o} {
+	for _, eng := range []core.Engine{e, o} {
 		if err := eng.Register(q); err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +61,7 @@ func TestRollupTieAtKthGuard(t *testing.T) {
 func TestRollupShrinksMonitoredRegion(t *testing.T) {
 	// Margins (1,1) with k=1: a raise fires when |R| > 3 and sets the
 	// floor to the 2nd-best score.
-	stream := func(e *ITA) {
+	stream := func(e *shard.Engine) {
 		// Strong docs grow R to 4 members; the raise lifts F to 0.8 and
 		// purges the 0.7 and 0.6 tail.
 		for i, w := range []float64{0.9, 0.8, 0.7, 0.6} {
@@ -68,7 +70,7 @@ func TestRollupShrinksMonitoredRegion(t *testing.T) {
 			}
 		}
 	}
-	e := NewITA(window.Count{N: 100}, WithFloorMargins(1, 1))
+	e := shard.New(window.Count{N: 100}, 1, shard.WithFloorMargins(1, 1))
 	q := query(t, 1, 1, model.QueryTerm{Term: termA, Weight: 1})
 	if err := e.Register(q); err != nil {
 		t.Fatal(err)
@@ -92,7 +94,7 @@ func TestRollupShrinksMonitoredRegion(t *testing.T) {
 	// Sanity: the same stream with raises disabled does hit the query —
 	// the floor stays at the Register-time 0, whose bound any
 	// contribution beats.
-	e2 := NewITA(window.Count{N: 100}, WithFloorMargins(1, 1), WithoutRollup())
+	e2 := shard.New(window.Count{N: 100}, 1, shard.WithFloorMargins(1, 1), shard.WithoutRollup())
 	if err := e2.Register(q); err != nil {
 		t.Fatal(err)
 	}

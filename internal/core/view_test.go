@@ -7,7 +7,6 @@ import (
 
 	"ita/internal/model"
 	"ita/internal/topk"
-	"ita/internal/window"
 )
 
 // viewDoc builds a single-term document for the view tests.
@@ -19,42 +18,46 @@ func viewDoc(id model.DocID, term model.TermID, w float64, ms int) *model.Docume
 	return d
 }
 
-// TestPublishedViewsTrackBoundaries drives an ITA engine and checks the
-// published read path: unpublished maintenance is invisible, PublishViews
-// exposes exactly the boundary state byte-identical to Result, and
+// TestPublishedViewsTrackBoundaries drives a maintainer and checks the
+// published read path: unpublished maintenance is invisible, Publish
+// exposes exactly the boundary state byte-identical to Result (the
+// first Publish arms tracking and publishes every owned query), and
 // unregistration removes the slot.
 func TestPublishedViewsTrackBoundaries(t *testing.T) {
-	e := NewITA(window.Count{N: 10})
+	m, index := newMaintainer()
 	q, err := model.NewQuery(7, 2, []model.QueryTerm{{Term: 1, Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register(q); err != nil {
+	if err := m.Register(q); err != nil {
 		t.Fatal(err)
 	}
 
 	// Before any publication the query is registered but invisible to
 	// readers.
-	if _, ok := e.m.Views().Result(7); ok {
+	reader := m.Views()
+	if _, ok := reader.Result(7); ok {
 		t.Fatal("unpublished query visible through Views")
 	}
-	reader := e.PublishViews()
+	m.Publish()
 	f, ok := reader.Result(7)
 	if !ok || len(f.Docs) != 0 {
 		t.Fatalf("published empty result = %v, %v", f, ok)
 	}
 
-	if err := e.Process(viewDoc(1, 1, 0.5, 0)); err != nil {
+	d := viewDoc(1, 1, 0.5, 0)
+	if err := index.Insert(d); err != nil {
 		t.Fatal(err)
 	}
+	m.HandleArrival(d)
 	// The arrival is applied but not yet published: readers still see
 	// the previous boundary.
 	if f, _ := reader.Result(7); len(f.Docs) != 0 {
 		t.Fatalf("in-flight state leaked to readers: %v", f.Docs)
 	}
-	e.PublishViews()
+	m.Publish()
 	f, _ = reader.Result(7)
-	locked, _ := e.Result(7)
+	locked, _ := m.Result(7)
 	if !reflect.DeepEqual(f.Docs, locked) {
 		t.Fatalf("published %v, locked path %v", f.Docs, locked)
 	}
@@ -64,7 +67,7 @@ func TestPublishedViewsTrackBoundaries(t *testing.T) {
 
 	// Publishing with no changes keeps the same snapshot pointer.
 	before, _ := reader.Result(7)
-	e.PublishViews()
+	m.Publish()
 	after, _ := reader.Result(7)
 	if before != after {
 		t.Fatal("no-op publish replaced the snapshot")
@@ -77,52 +80,10 @@ func TestPublishedViewsTrackBoundaries(t *testing.T) {
 		t.Fatalf("Each saw %v", seen)
 	}
 
-	if !e.Unregister(7) {
+	if !m.Unregister(7) {
 		t.Fatal("Unregister failed")
 	}
 	if _, ok := reader.Result(7); ok {
 		t.Fatal("unregistered query still visible")
-	}
-}
-
-// TestPublishedViewsEpochPath checks that the epoch pipeline marks every
-// touched query dirty: after ProcessEpoch + PublishViews the reader
-// matches the locked result for all affected queries.
-func TestPublishedViewsEpochPath(t *testing.T) {
-	e := NewITA(window.Count{N: 4})
-	for _, q := range []struct {
-		id   model.QueryID
-		term model.TermID
-	}{{1, 1}, {2, 2}} {
-		mq, err := model.NewQuery(q.id, 2, []model.QueryTerm{{Term: q.term, Weight: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Register(mq); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reader := e.PublishViews()
-
-	docs := []*model.Document{
-		viewDoc(1, 1, 0.9, 0),
-		viewDoc(2, 2, 0.8, 10),
-		viewDoc(3, 1, 0.7, 20),
-		viewDoc(4, 2, 0.6, 30),
-		viewDoc(5, 1, 0.5, 40), // expires doc 1 from the 4-window
-	}
-	if err := e.ProcessEpoch(docs); err != nil {
-		t.Fatal(err)
-	}
-	e.PublishViews()
-	for _, id := range []model.QueryID{1, 2} {
-		f, ok := reader.Result(id)
-		if !ok {
-			t.Fatalf("query %d unpublished after epoch", id)
-		}
-		locked, _ := e.Result(id)
-		if !reflect.DeepEqual(f.Docs, locked) {
-			t.Fatalf("query %d: published %v, locked %v", id, f.Docs, locked)
-		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"ita/internal/core"
 	"ita/internal/corpus"
+	"ita/internal/shard"
 	"ita/internal/stats"
 	"ita/internal/vsm"
 	"ita/internal/window"
@@ -19,9 +20,9 @@ import (
 func AblationProbeOrder(p Profile, progress func(string)) Figure {
 	const n = 1000
 	warm := min(n, p.MaxWindow)
-	greedy := EngineBuilder{Name: "ITA-greedy", Build: func(pol window.Policy) core.Engine { return core.NewITA(pol) }}
+	greedy := EngineBuilder{Name: "ITA-greedy", Build: func(pol window.Policy) core.Engine { return shard.New(pol, 1) }}
 	rr := EngineBuilder{Name: "ITA-roundrobin", Build: func(pol window.Policy) core.Engine {
-		return core.NewITA(pol, core.WithRoundRobinProbe())
+		return shard.New(pol, 1, shard.WithRoundRobinProbe())
 	}}
 	return sweep("ablation-probe",
 		fmt.Sprintf("A1 — greedy vs round-robin list probing (N=%d, %s profile)", warm, p.Label),
@@ -38,9 +39,9 @@ func AblationProbeOrder(p Profile, progress func(string)) Figure {
 func AblationRollup(p Profile, progress func(string)) Figure {
 	const n = 1000
 	warm := min(n, p.MaxWindow)
-	with := EngineBuilder{Name: "ITA", Build: func(pol window.Policy) core.Engine { return core.NewITA(pol) }}
+	with := EngineBuilder{Name: "ITA", Build: func(pol window.Policy) core.Engine { return shard.New(pol, 1) }}
 	without := EngineBuilder{Name: "ITA-norollup", Build: func(pol window.Policy) core.Engine {
-		return core.NewITA(pol, core.WithoutRollup())
+		return shard.New(pol, 1, shard.WithoutRollup())
 	}}
 	return sweep("ablation-rollup",
 		fmt.Sprintf("A2 — roll-up enabled vs disabled (N=%d, %s profile)", warm, p.Label),

@@ -20,7 +20,7 @@ import (
 // batch sweep.
 type BatchPoint struct {
 	Config       string  `json:"config"` // "single" or "sharded-N"
-	Shards       int     `json:"shards"` // 0 for the single-threaded engine
+	Shards       int     `json:"shards"` // 0 for the "single" baseline cell
 	EpochSize    int     `json:"epoch_size"`
 	Events       int     `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -37,12 +37,12 @@ type BatchPoint struct {
 }
 
 // BatchReport is the outcome of the epoch-size sweep: steady-state
-// events/sec of the single-threaded and sharded ITA engines at several
-// epoch sizes B, on a many-query workload. B=1 is event-serial
-// processing; larger epochs amortize index mutation, affected-query
-// probing and (for the sharded engine) the fan-out barrier across the
-// batch. Hardware context is recorded because the fan-out part of the
-// story needs real cores.
+// events/sec of the ITA engine at one shard ("single") and several
+// shard counts, at several epoch sizes B, on a many-query workload.
+// B=1 is event-serial processing; larger epochs amortize index
+// mutation, affected-query probing and (with several shards) the
+// fan-out barrier across the batch. Hardware context is recorded
+// because the fan-out part of the story needs real cores.
 type BatchReport struct {
 	Queries    int          `json:"queries"`
 	QueryLen   int          `json:"query_len"`
@@ -55,7 +55,7 @@ type BatchReport struct {
 }
 
 // BatchSweep measures steady-state event throughput at every epoch size
-// in epochSizes, for the single-threaded ITA and the sharded engine at
+// in epochSizes, for the one-shard engine ("single") and the engine at
 // every count in shardCounts, all on the same synthetic workload of
 // `queries` standing queries over a count window of `win` documents.
 // Events are fed through ProcessEpoch in chunks of the epoch size
@@ -73,30 +73,20 @@ func BatchSweep(p Profile, queries, queryLen, win int, epochSizes, shardCounts [
 		NumCPU:     runtime.NumCPU(),
 	}
 
+	// The "single" cell is the one-shard engine; reports label it with
+	// shard count 0.
 	type engineCfg struct {
 		name   string
-		shards int
-		build  func() (core.Engine, func())
+		shards int // reported shard count
+		n      int // shards built
 	}
 	pol := window.Count{N: win}
-	var engines []engineCfg
-	engines = append(engines, engineCfg{
-		name: "single", shards: 0,
-		build: func() (core.Engine, func()) { return core.NewITA(pol), func() {} },
-	})
+	engines := []engineCfg{{name: "single", n: 1}}
 	for _, s := range shardCounts {
-		s := s
 		eng := shard.New(pol, s) // resolve the auto count for the label
-		name := fmt.Sprintf("sharded-%d", eng.Shards())
 		resolved := eng.Shards()
 		eng.Close()
-		engines = append(engines, engineCfg{
-			name: name, shards: resolved,
-			build: func() (core.Engine, func()) {
-				e := shard.New(pol, resolved)
-				return e, func() { e.Close() }
-			},
-		})
+		engines = append(engines, engineCfg{name: fmt.Sprintf("sharded-%d", resolved), shards: resolved, n: resolved})
 	}
 
 	for _, ec := range engines {
@@ -105,9 +95,9 @@ func BatchSweep(p Profile, queries, queryLen, win int, epochSizes, shardCounts [
 			if progress != nil {
 				progress(fmt.Sprintf("batch sweep: %s B=%d (%d queries)", ec.name, b, queries))
 			}
-			eng, done := ec.build()
+			eng := shard.New(pol, ec.n)
 			pt, err := runBatchCell(p, cfg, eng, queries, queryLen, win, b, events)
-			done()
+			eng.Close()
 			if err != nil {
 				return rep, err
 			}

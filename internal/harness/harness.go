@@ -12,6 +12,7 @@ import (
 	"ita/internal/core"
 	"ita/internal/corpus"
 	"ita/internal/model"
+	"ita/internal/shard"
 	"ita/internal/stats"
 	"ita/internal/stream"
 	"ita/internal/vsm"
@@ -72,7 +73,7 @@ type EngineBuilder struct {
 
 // ITABuilder is the paper's algorithm with default options.
 func ITABuilder() EngineBuilder {
-	return EngineBuilder{Name: "ITA", Build: func(pol window.Policy) core.Engine { return core.NewITA(pol) }}
+	return EngineBuilder{Name: "ITA", Build: func(pol window.Policy) core.Engine { return shard.New(pol, 1) }}
 }
 
 // NaiveBuilder is the paper's competitor: Naïve enhanced with

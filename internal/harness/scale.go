@@ -7,9 +7,9 @@ import (
 	"strings"
 	"time"
 
-	"ita/internal/core"
 	"ita/internal/corpus"
 	"ita/internal/model"
+	"ita/internal/shard"
 	"ita/internal/stream"
 	"ita/internal/vsm"
 	"ita/internal/window"
@@ -138,7 +138,7 @@ func scalePoint(p Profile, cfg corpus.SynthConfig, n, queryLen, win, events int)
 		queries[i] = qSynth.Query(model.QueryID(i+1), p.K, queryLen)
 	}
 	str := stream.New(dSynth.Document, p.Rate, cfg.Seed+1, time.Unix(0, 0))
-	eng := core.NewITA(window.Count{N: win})
+	eng := shard.New(window.Count{N: win}, 1)
 	for i := 0; i < win; i++ {
 		if err := eng.Process(str.Next()); err != nil {
 			return pt, err

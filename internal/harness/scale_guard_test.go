@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"ita/internal/core"
 	"ita/internal/corpus"
 	"ita/internal/model"
+	"ita/internal/shard"
 	"ita/internal/stream"
 	"ita/internal/vsm"
 	"ita/internal/window"
@@ -46,7 +46,7 @@ func TestScaleIngestCliffGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		str := stream.New(dSynth.Document, 200, cfg.Seed+1, time.Unix(0, 0))
-		eng := core.NewITA(window.Count{N: win})
+		eng := shard.New(window.Count{N: win}, 1)
 		for i := 0; i < win; i++ {
 			if err := eng.Process(str.Next()); err != nil {
 				t.Fatal(err)

@@ -20,20 +20,20 @@ import (
 // throughput experiment.
 type ThroughputPoint struct {
 	Config       string  `json:"config"` // "single" or "sharded-N"
-	Shards       int     `json:"shards"` // 0 for the single-threaded engine
+	Shards       int     `json:"shards"` // 0 for the "single" baseline cell
 	Events       int     `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	MeanMs       float64 `json:"mean_ms"`
 	WallMs       float64 `json:"wall_ms"`
 	// SpeedupVsSingle is this configuration's events/sec over the
-	// single-threaded engine's.
+	// "single" cell's.
 	SpeedupVsSingle float64 `json:"speedup_vs_single"`
 }
 
 // ThroughputReport is the outcome of the sharding throughput experiment:
-// steady-state events/sec of the single-threaded ITA versus the sharded
-// engine at several shard counts, on a many-query workload. Hardware
-// context is recorded because the sharded engine's win is parallelism:
+// steady-state events/sec of the one-shard ITA engine ("single") versus
+// several shard counts, on a many-query workload. Hardware context is
+// recorded because the win of more shards is parallelism:
 // with GOMAXPROCS=1 the fan-out can only add overhead, and the report
 // says so rather than hiding it.
 type ThroughputReport struct {
@@ -41,7 +41,6 @@ type ThroughputReport struct {
 	QueryLen   int               `json:"query_len"`
 	K          int               `json:"k"`
 	Window     int               `json:"window"`
-	BatchSize  int               `json:"batch_size"`
 	DictSize   int               `json:"dict_size"`
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	NumCPU     int               `json:"num_cpu"`
@@ -51,17 +50,15 @@ type ThroughputReport struct {
 // Throughput measures steady-state event throughput (arrival +
 // expiration + all query maintenance) on a workload of `queries`
 // standing queries over a count window of `win` documents: first the
-// single-threaded ITA, then the sharded engine at every count in
-// shardCounts. Events are fed through ProcessBatch in chunks of `batch`
-// where the engine supports it.
-func Throughput(p Profile, queries, queryLen, win, batch int, shardCounts []int, events int, progress func(string)) (ThroughputReport, error) {
+// one-shard engine ("single"), then every count in shardCounts. Events
+// are fed one at a time through Process.
+func Throughput(p Profile, queries, queryLen, win int, shardCounts []int, events int, progress func(string)) (ThroughputReport, error) {
 	cfg := p.corpusCfg()
 	rep := ThroughputReport{
 		Queries:    queries,
 		QueryLen:   queryLen,
 		K:          p.K,
 		Window:     win,
-		BatchSize:  batch,
 		DictSize:   cfg.DictSize,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -90,31 +87,13 @@ func Throughput(p Profile, queries, queryLen, win, batch int, shardCounts []int,
 				return err
 			}
 		}
-		bp, batched := eng.(interface {
-			ProcessBatch([]*model.Document) error
-		})
 		done := 0
 		start := time.Now()
 		for done < events {
-			n := batch
-			if !batched {
-				n = 1
-			}
-			if rem := events - done; n > rem {
-				n = rem
-			}
-			if batched {
-				docs := make([]*model.Document, n)
-				for i := range docs {
-					docs[i] = str.Next()
-				}
-				if err := bp.ProcessBatch(docs); err != nil {
-					return err
-				}
-			} else if err := eng.Process(str.Next()); err != nil {
+			if err := eng.Process(str.Next()); err != nil {
 				return err
 			}
-			done += n
+			done++
 			if p.MaxMeasure > 0 && time.Since(start) > p.MaxMeasure {
 				break
 			}
@@ -138,7 +117,7 @@ func Throughput(p Profile, queries, queryLen, win, batch int, shardCounts []int,
 	}
 
 	pol := window.Count{N: win}
-	if err := run("single", 0, core.NewITA(pol)); err != nil {
+	if err := run("single", 0, shard.New(pol, 1)); err != nil {
 		return rep, err
 	}
 	for _, s := range shardCounts {
@@ -155,15 +134,15 @@ func Throughput(p Profile, queries, queryLen, win, batch int, shardCounts []int,
 // Format renders the report as an aligned text table.
 func (r ThroughputReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "throughput — %d queries (n=%d, k=%d), window N=%d, batch=%d, GOMAXPROCS=%d\n",
-		r.Queries, r.QueryLen, r.K, r.Window, r.BatchSize, r.GOMAXPROCS)
+	fmt.Fprintf(&b, "throughput — %d queries (n=%d, k=%d), window N=%d, GOMAXPROCS=%d\n",
+		r.Queries, r.QueryLen, r.K, r.Window, r.GOMAXPROCS)
 	fmt.Fprintf(&b, "%-12s%10s%14s%12s%10s\n", "config", "events", "events/sec", "mean ms", "speedup")
 	for _, pt := range r.Points {
 		fmt.Fprintf(&b, "%-12s%10d%14.1f%12.4f%9.2fx\n",
 			pt.Config, pt.Events, pt.EventsPerSec, pt.MeanMs, pt.SpeedupVsSingle)
 	}
 	if r.GOMAXPROCS == 1 {
-		fmt.Fprintf(&b, "note: GOMAXPROCS=1 — shard fan-out cannot run in parallel on this host; expect the sharded rows to trail the single-threaded engine.\n")
+		fmt.Fprintf(&b, "note: GOMAXPROCS=1 — shard fan-out cannot run in parallel on this host; expect the sharded rows to trail the single cell.\n")
 	}
 	return b.String()
 }

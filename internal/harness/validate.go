@@ -77,7 +77,7 @@ func Validate(p Profile, events int) (ValidationReport, error) {
 	oracle := core.NewOracle(pol)
 	sharded := shard.New(pol, 4)
 	defer sharded.Close()
-	engines := []core.Engine{core.NewITA(pol), core.NewNaive(pol), sharded}
+	engines := []core.Engine{shard.New(pol, 1), core.NewNaive(pol), sharded}
 	names := []string{"ITA", "Naive", "ITA-sharded-4"}
 
 	var queries []*model.Query

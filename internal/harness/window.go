@@ -7,10 +7,10 @@ import (
 	"strings"
 	"time"
 
-	"ita/internal/core"
 	"ita/internal/corpus"
 	"ita/internal/invindex"
 	"ita/internal/model"
+	"ita/internal/shard"
 	"ita/internal/stream"
 	"ita/internal/vsm"
 	"ita/internal/window"
@@ -120,7 +120,7 @@ func windowPoint(p Profile, win, queryLen int, lay invindex.Layout) (WindowPoint
 		return pt, err
 	}
 	str := stream.New(dSynth.Document, p.Rate, cfg.Seed+1, time.Unix(0, 0))
-	eng := core.NewITA(window.Count{N: win}, core.WithPostingLayout(lay))
+	eng := shard.New(window.Count{N: win}, 1, shard.WithPostingLayout(lay))
 
 	ingestStart := time.Now()
 	epoch := make([]*model.Document, 0, windowEpoch)

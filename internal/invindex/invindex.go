@@ -68,7 +68,7 @@ const (
 	LayoutBlocked Layout = iota
 	// LayoutSlices stores each list as chunked sorted slices of raw
 	// EntryKeys — the original layout, kept as the differential-twin
-	// reference and selectable via the facade's WithPostingLayout.
+	// reference of the equivalence suites.
 	LayoutSlices
 )
 

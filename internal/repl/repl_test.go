@@ -508,3 +508,60 @@ func TestDefaultBackoffSeedsDistinct(t *testing.T) {
 		t.Fatal("distinct seeds produced identical jitter prefixes")
 	}
 }
+
+// TestLedgerOverlappingSessions pins the follower ledger against the
+// bootstrap overlap: a follower's snapshot fetch and its streaming
+// session send the same ID, and the snapshot session's teardown may run
+// after the streaming session registered. The ledger must keep showing
+// the follower connected until the live session itself ends. The
+// session order is forced, so the outcome does not depend on timing.
+func TestLedgerOverlappingSessions(t *testing.T) {
+	p := newTestPrimary(t)
+	p.ingest("crude oil shipment")
+	srv := NewServer(ServerConfig{Dir: p.dir, Tracker: p.tr, Heartbeat: 10 * time.Millisecond})
+	defer srv.Close()
+
+	type session struct {
+		conn net.Conn
+		done chan struct{} // closed when the server's handler returns
+	}
+	// open runs a session up to the snapshot answer, which the server
+	// sends only after registering the session.
+	open := func() session {
+		t.Helper()
+		client, server := net.Pipe()
+		ss := session{conn: client, done: make(chan struct{})}
+		go func() {
+			defer close(ss.done)
+			srv.handle(server)
+		}()
+		if _, err := writeMessage(client, &message{Type: msgHello, ID: "f1"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := readMessage(client); err != nil || m.Type != msgSnapshot {
+			t.Fatalf("handshake: message %+v, err %v", m, err)
+		}
+		return ss
+	}
+	ledger := func() FollowerStats {
+		t.Helper()
+		fs := srv.Followers()
+		if len(fs) != 1 {
+			t.Fatalf("ledger holds %d followers, want 1: %+v", len(fs), fs)
+		}
+		return fs[0]
+	}
+
+	snapshot := open()
+	live := open()
+	snapshot.conn.Close()
+	<-snapshot.done
+	if f := ledger(); !f.Connected || f.Reconnects != 1 {
+		t.Fatalf("after the snapshot session closed: %+v, want connected with 1 reconnect", f)
+	}
+	live.conn.Close()
+	<-live.done
+	if f := ledger(); f.Connected {
+		t.Fatalf("after the live session closed: %+v, want disconnected", f)
+	}
+}

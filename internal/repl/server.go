@@ -54,6 +54,11 @@ type followerInfo struct {
 	stats         FollowerStats
 	forceSnapshot bool // set when streaming lost the follower's position
 	acked         bool // at least one ack received (pin is meaningful)
+	// gen numbers the follower's sessions; only the latest may clear
+	// Connected. A bootstrap snapshot fetch and the streaming session
+	// share the follower's ID and may overlap, so an older session's
+	// teardown can land after the newer session registered.
+	gen uint64
 }
 
 // Server streams WAL bytes to followers. One Server serves any number
@@ -204,8 +209,8 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil || hello.Type != msgHello || hello.ID == "" {
 		return
 	}
-	info := s.register(hello.ID, conn.RemoteAddr().String())
-	defer s.disconnect(info)
+	info, gen := s.register(hello.ID, conn.RemoteAddr().String())
+	defer s.disconnect(info, gen)
 
 	start, err := s.negotiate(conn, hello, info)
 	if err != nil {
@@ -237,7 +242,9 @@ func (s *Server) handle(conn net.Conn) {
 	<-ackDone
 }
 
-func (s *Server) register(id, addr string) *followerInfo {
+// register records a new session of follower id and returns the
+// follower's ledger entry with the session's generation.
+func (s *Server) register(id, addr string) (*followerInfo, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, ok := s.followers[id]
@@ -247,14 +254,19 @@ func (s *Server) register(id, addr string) *followerInfo {
 	} else {
 		f.stats.Reconnects++
 	}
+	f.gen++
 	f.stats.Addr = addr
 	f.stats.Connected = true
-	return f
+	return f, f.gen
 }
 
-func (s *Server) disconnect(f *followerInfo) {
+// disconnect ends session gen of f. A session superseded by a newer one
+// leaves the ledger to its successor.
+func (s *Server) disconnect(f *followerInfo, gen uint64) {
 	s.mu.Lock()
-	f.stats.Connected = false
+	if f.gen == gen {
+		f.stats.Connected = false
+	}
 	s.mu.Unlock()
 }
 

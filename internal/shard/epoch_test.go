@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"ita/internal/core"
 	"ita/internal/model"
 	"ita/internal/window"
 )
@@ -60,9 +59,9 @@ func contQuery(t *testing.T, rng *rand.Rand, id model.QueryID, vocab int) *model
 // through an identical tie-free stream — epochs mixing arrivals and
 // expirations, plus epochs larger than the window so documents arrive
 // and expire within one batch — and must return byte-identical
-// per-query results to the event-serial single-threaded ITA at every
-// epoch boundary. Run under -race (CI does), this also exercises the
-// epoch fan-out's synchronization.
+// per-query results to an event-serial single-shard engine (a Process
+// loop) at every epoch boundary. Run under -race (CI does), this also
+// exercises the epoch fan-out's synchronization.
 func TestEpochGridMatchesSerialITA(t *testing.T) {
 	const (
 		vocab   = 20
@@ -75,7 +74,7 @@ func TestEpochGridMatchesSerialITA(t *testing.T) {
 				win, batch, shards := win, batch, shards
 				t.Run(fmt.Sprintf("w%d_b%d_s%d", win, batch, shards), func(t *testing.T) {
 					pol := window.Count{N: win}
-					serial := core.NewITA(pol)
+					serial := New(pol, 1)
 					epoch := New(pol, shards)
 					defer epoch.Close()
 
@@ -157,7 +156,7 @@ func TestEpochUnregisterBetweenEpochs(t *testing.T) {
 	pol := window.Count{N: 16}
 	e := New(pol, 4)
 	defer e.Close()
-	serial := core.NewITA(pol)
+	serial := New(pol, 1)
 
 	rng := rand.New(rand.NewSource(99))
 	nextQ := model.QueryID(1)

@@ -1,35 +1,41 @@
-// Package shard implements the sharded parallel ITA engine: registered
-// queries are partitioned across S shards, each owning the threshold
-// trees, result sets and local thresholds (a core.Maintainer) for its
-// queries, while the inverted index and FIFO document store remain a
-// single-writer structure owned by the coordinator.
+// Package shard implements the ITA engine: the coordinator of the
+// paper's Incremental Threshold Algorithm. The coordinator owns the
+// window policy and the single-writer inverted index and FIFO document
+// store; registered queries are partitioned across S shards, each
+// owning the threshold trees, result sets and score floors (a
+// core.Maintainer) for its queries. Every ITA engine in the repository
+// is built with New — S = 1 is the plain single-threaded algorithm.
 //
-// Event processing is a two-phase pipeline per arrival or expiration:
+// Event processing is a two-phase pipeline per arrival or expiration
+// (§III of the paper: index the event, then run per-query threshold
+// maintenance):
 //
 //  1. The coordinator mutates the index (insert the arriving document,
 //     or pop the expired one), on the caller's goroutine.
-//  2. All shards concurrently run their per-query maintenance —
-//     probe → score → add/roll-up for arrivals, probe → remove → refill
-//     for expirations — against the now-quiescent index.
+//  2. Every shard runs its per-query maintenance — probe → score →
+//     add/roll-up for arrivals, probe → remove → refill for expirations
+//     — against the now-quiescent index. With one shard this runs
+//     inline on the caller's goroutine (no worker, no barrier); with
+//     more, the shards run concurrently on worker goroutines.
 //
 // ProcessEpoch lifts the same two phases from per-event to per-epoch:
 // the coordinator stages a whole batch's net index mutations in one
-// pass, then all shards fan out exactly once, each applying the epoch's
+// pass, then the shards run exactly once, each applying the epoch's
 // net effect to its queries. One barrier per epoch instead of one per
-// event is what lets the sharded engine scale past the per-event
+// event is what lets more than one shard pay past the per-event
 // synchronization floor.
 //
 // The fan-out is exact, not approximate: ITA's maintenance state is
 // strictly per-query (the paper's threshold trees and result lists R
 // never couple two queries), and within one event every shard only
-// *reads* the shared index. The sharded engine therefore returns
-// results identical to the single-threaded ITA for every query at every
-// instant; internal/shard's equivalence tests drive both against the
-// brute-force oracle to enforce exactly that.
+// *reads* the shared index. Results are therefore identical for every
+// shard count, for every query at every instant; internal/shard's
+// equivalence tests drive several shard counts against the brute-force
+// oracle to enforce exactly that.
 //
-// Like every core.Engine, the sharded engine's public methods must be
-// called from one goroutine at a time (the ita facade adds locking);
-// parallelism lives entirely inside Process/ProcessBatch.
+// Like every core.Engine, the engine's public methods must be called
+// from one goroutine at a time (the ita facade adds locking);
+// parallelism lives entirely inside Process and ProcessEpoch.
 package shard
 
 import (
@@ -45,8 +51,9 @@ import (
 	"ita/internal/window"
 )
 
-// Engine is the sharded parallel ITA. It implements core.Engine plus
-// ProcessBatch and Close.
+// Engine is the ITA engine. It implements core.Engine,
+// core.EpochProcessor, core.ViewPublisher, core.MemoryReporter and
+// core.StateSnapshotter, plus Close.
 type Engine struct {
 	policy window.Policy
 	index  *invindex.Index
@@ -102,34 +109,38 @@ func (s *shardState) handle(ev event) {
 // Option configures New.
 type Option func(*core.MaintainerConfig)
 
-// WithSeed fixes the skip-list randomness seed, matching
-// core.WithITASeed so sharded and single-threaded runs are structurally
-// comparable.
+// WithSeed fixes the skip-list randomness seed (default 1).
 func WithSeed(seed uint64) Option {
 	return func(c *core.MaintainerConfig) { c.Seed = seed }
 }
 
-// WithoutRollup disables the threshold roll-up (ablation A2), matching
-// core.WithoutRollup.
+// WithoutRollup disables arrival-driven floor raises (ablation A2, the
+// roll-up analog of §III-B): the floor then moves only at rebuilds, so
+// the monitored region grows monotonically between expirations.
 func WithoutRollup() Option {
 	return func(c *core.MaintainerConfig) { c.DisableRollup = true }
 }
 
-// WithRoundRobinProbe selects the round-robin probe order (ablation A1),
-// matching core.WithRoundRobinProbe.
+// WithRoundRobinProbe replaces the paper's greedy w_{Q,t}·c_t probe
+// order with the original threshold algorithm's round-robin order
+// (ablation A1).
 func WithRoundRobinProbe() Option {
 	return func(c *core.MaintainerConfig) { c.RoundRobinProbe = true }
 }
 
-// WithScanAllTrees pins probe trees to the entry-ordered scan-all
-// representation, matching core.WithScanAllTrees (equivalence testing
-// only).
+// WithScanAllTrees pins every probe tree to the entry-ordered scan-all
+// representation, where a probe tests every registered query instead
+// of walking the θ-ordered beatable prefix. It exists so equivalence
+// suites can prove the θ-ordered probe visits exactly the same queries;
+// it is not a production configuration.
 func WithScanAllTrees() Option {
 	return func(c *core.MaintainerConfig) { c.ScanAllTrees = true }
 }
 
-// WithFloorMargins overrides the floor maintenance margins, matching
-// core.WithFloorMargins (zero keeps a default).
+// WithFloorMargins overrides the floor maintenance margins (see
+// internal/core/floor.go). Tests use small margins to exercise floor
+// raises and rebuilds densely inside small windows; zero keeps a
+// default.
 func WithFloorMargins(target, raise int) Option {
 	return func(c *core.MaintainerConfig) {
 		c.FloorTargetMargin = target
@@ -137,13 +148,14 @@ func WithFloorMargins(target, raise int) Option {
 	}
 }
 
-// WithPostingLayout selects the inverted-index posting layout, matching
-// core.WithPostingLayout (the default is the block-compressed layout).
+// WithPostingLayout selects the inverted-index posting layout; the
+// default is the block-compressed layout. The slice layout is the
+// differential-twin reference of the equivalence suites.
 func WithPostingLayout(l invindex.Layout) Option {
 	return func(c *core.MaintainerConfig) { c.PostingLayout = l }
 }
 
-// New returns an empty sharded engine with the given shard count;
+// New returns an empty ITA engine with the given shard count;
 // shards <= 0 selects runtime.GOMAXPROCS(0). With one shard the engine
 // runs maintenance inline on the caller's goroutine (no workers, no
 // synchronization); with more it starts one worker goroutine per shard,
@@ -215,7 +227,7 @@ func (e *Engine) Close() error {
 func (e *Engine) Shards() int { return len(e.shards) }
 
 // Name implements core.Engine.
-func (e *Engine) Name() string { return "ita-sharded" }
+func (e *Engine) Name() string { return "ita" }
 
 // Queries implements core.Engine.
 func (e *Engine) Queries() int { return e.total }
@@ -247,8 +259,8 @@ func (e *Engine) MemoryUsage() core.Memory {
 }
 
 // Stats implements core.Engine: the coordinator's counters plus every
-// shard's, merged. The merged totals equal the single-threaded ITA's
-// counters on the same stream, since each query's maintenance performs
+// shard's, merged. The merged totals are the same for every shard count
+// on the same stream, since each query's maintenance performs
 // identical operations regardless of which shard runs it.
 func (e *Engine) Stats() *core.Stats {
 	e.merged = e.coord
@@ -258,27 +270,20 @@ func (e *Engine) Stats() *core.Stats {
 	return &e.merged
 }
 
-// shardIndex spreads query ids across n shards with a multiplicative
-// hash, so clustered id patterns (all-even ids, striding registrants)
-// still balance. It is a pure function of (id, n): the merged view
-// reader resolves a query to its owning shard with it, without touching
-// the coordinator's assignment map.
-func shardIndex(id model.QueryID, n int) int {
-	return Placement(id, n)
-}
-
-// Placement is the cluster-wide query placement function: it maps a
-// query id to one of n partitions with the same multiplicative hash the
-// sharded engine uses internally, so a multi-node deployment and the
-// in-process sharded engine agree on ownership by construction. It is a
-// pure function of (id, n).
+// Placement is the query placement function: it maps a query id to one
+// of n partitions with a multiplicative hash, so clustered id patterns
+// (all-even ids, striding registrants) still balance. The engine places
+// queries on its shards with it and a multi-node deployment places them
+// on its nodes, so both agree on ownership by construction. It is a
+// pure function of (id, n): the merged view reader resolves a query to
+// its owning shard with it, without any assignment map.
 func Placement(id model.QueryID, n int) int {
 	return int((uint64(id) * 0x9e3779b97f4a7c15 >> 32) % uint64(n))
 }
 
-func (e *Engine) shardFor(id model.QueryID) int { return shardIndex(id, len(e.shards)) }
+func (e *Engine) shardFor(id model.QueryID) int { return Placement(id, len(e.shards)) }
 
-// mergedViews is the sharded engine's wait-free read handle: the
+// mergedViews is the engine's wait-free read handle: the
 // per-shard view sets, merged lazily at read time. No cross-shard
 // barrier or copy happens at publication — each shard publishes its own
 // queries, and a read resolves the owning shard by hash and loads that
@@ -289,7 +294,7 @@ type mergedViews struct {
 
 // Result implements core.ViewReader.
 func (v *mergedViews) Result(id model.QueryID) (*topk.Frozen, bool) {
-	return v.shards[shardIndex(id, len(v.shards))].m.Views().Result(id)
+	return v.shards[Placement(id, len(v.shards))].m.Views().Result(id)
 }
 
 // Each implements core.ViewReader.
@@ -351,21 +356,6 @@ func (e *Engine) Process(d *model.Document) error {
 	return nil
 }
 
-// ProcessBatch processes a batch of arrivals in order, with their
-// interleaved expirations, exactly as a loop over Process would — one
-// fan-out barrier per event, each event's maintenance seeing the exact
-// per-event index state of the single-threaded algorithm. It is the
-// strict event-serial batch entry; ProcessEpoch is the amortized one.
-// On error, documents before the failing one remain processed.
-func (e *Engine) ProcessBatch(docs []*model.Document) error {
-	for _, d := range docs {
-		if err := e.Process(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ProcessEpoch implements core.EpochProcessor: the whole batch is one
 // epoch, processed with a single two-phase barrier instead of one per
 // event. Phase 1 stages every index mutation on the caller's goroutine
@@ -373,9 +363,10 @@ func (e *Engine) ProcessBatch(docs []*model.Document) error {
 // the window policy expires, net per-term list edits); phase 2 fans the
 // epoch out once, each shard running its net per-query maintenance
 // (core.Maintainer.HandleEpoch) against the quiescent epoch-end index.
-// Results at the epoch boundary are identical to ProcessBatch; the
-// per-event synchronization cost — the dominant scaling limit of the
-// per-event pipeline — is paid once per epoch. Arrival times must be
+// Results at the epoch boundary are identical to a Process loop over
+// the same documents; the per-event synchronization cost — the
+// dominant scaling limit of the per-event pipeline — is paid once per
+// epoch. Arrival times must be
 // non-decreasing within the batch.
 func (e *Engine) ProcessEpoch(docs []*model.Document) error {
 	if len(docs) == 0 {
@@ -473,7 +464,7 @@ func (e *Engine) RestoreQueryState(q *model.Query, st core.QueryState) error {
 	return nil
 }
 
-// SetStats implements core.StateSnapshotter. The sharded engine only
+// SetStats implements core.StateSnapshotter. The engine only
 // ever exposes the merged block, so the restored total lands on the
 // coordinator and the per-shard blocks restart from zero; later
 // maintenance increments distribute across shards exactly as they would

@@ -72,14 +72,15 @@ func (g *gen) query(t *testing.T, id model.QueryID) *model.Query {
 
 var shardCounts = []int{1, 2, 8}
 
-// TestShardedMatchesITAAndOracle drives the sharded engine (S ∈ {1, 2, 8})
+// TestShardedMatchesITAAndOracle drives the engine at S ∈ {1, 2, 8}
 // through randomized arrival/expiration/register/unregister streams in
-// lock-step with the single-threaded ITA and the brute-force oracle.
-// The sharded results must be *identical* to single-threaded ITA's (same
-// documents, same scores, same order — the equivalence claim of the
-// two-phase design), must agree with the oracle, and the merged shard
-// stats must equal the single-threaded counters. Run under -race this is
-// also the concurrency-safety test for the fan-out.
+// lock-step with a reference single-shard engine and the brute-force
+// oracle. Every shard count's results must be *identical* to the
+// reference's (same documents, same scores, same order — the
+// equivalence claim of the two-phase design), must agree with the
+// oracle, and the merged shard stats must equal the reference's
+// counters. Run under -race this is also the concurrency-safety test
+// for the fan-out.
 func TestShardedMatchesITAAndOracle(t *testing.T) {
 	configs := []struct {
 		seed  int64
@@ -99,7 +100,7 @@ func TestShardedMatchesITAAndOracle(t *testing.T) {
 			pol := window.Count{N: cfg.win}
 
 			oracle := core.NewOracle(pol)
-			single := core.NewITA(pol)
+			single := shard.New(pol, 1)
 			var sharded []*shard.Engine
 			for _, s := range shardCounts {
 				eng := shard.New(pol, s)
@@ -162,7 +163,7 @@ func TestShardedMatchesITAAndOracle(t *testing.T) {
 					oracleRes, known := oracle.Result(q.ID)
 					singleRes, sKnown := single.Result(q.ID)
 					if known != sKnown {
-						t.Fatalf("step %d query %d: ita known=%v oracle known=%v", step, q.ID, sKnown, known)
+						t.Fatalf("step %d query %d: S=1 known=%v oracle known=%v", step, q.ID, sKnown, known)
 					}
 					for _, eng := range sharded {
 						got, gKnown := eng.Result(q.ID)
@@ -172,10 +173,10 @@ func TestShardedMatchesITAAndOracle(t *testing.T) {
 						if !known {
 							continue
 						}
-						// Identical to the single-threaded ITA, score-equal
+						// Identical to the single-shard reference, score-equal
 						// to the oracle.
 						if !reflect.DeepEqual(got, singleRes) {
-							t.Fatalf("step %d S=%d query %d:\nsharded %v\nita     %v", step, eng.Shards(), q.ID, got, singleRes)
+							t.Fatalf("step %d S=%d query %d:\nsharded %v\nS=1     %v", step, eng.Shards(), q.ID, got, singleRes)
 						}
 						if len(got) != len(oracleRes) {
 							t.Fatalf("step %d S=%d query %d: %d results, oracle %d", step, eng.Shards(), q.ID, len(got), len(oracleRes))
@@ -192,7 +193,7 @@ func TestShardedMatchesITAAndOracle(t *testing.T) {
 			want := *single.Stats()
 			for _, eng := range sharded {
 				if got := *eng.Stats(); got != want {
-					t.Fatalf("S=%d merged stats diverge:\nsharded %+v\nita     %+v", eng.Shards(), got, want)
+					t.Fatalf("S=%d merged stats diverge:\nsharded %+v\nS=1     %+v", eng.Shards(), got, want)
 				}
 			}
 		})
@@ -207,7 +208,7 @@ func TestShardedTimeWindow(t *testing.T) {
 	span := 40 * time.Millisecond
 	pol := window.Span{D: span}
 
-	single := core.NewITA(pol)
+	single := shard.New(pol, 1)
 	var sharded []*shard.Engine
 	for _, s := range shardCounts {
 		eng := shard.New(pol, s)
@@ -266,51 +267,10 @@ func TestShardedTimeWindow(t *testing.T) {
 				want, _ := single.Result(q.ID)
 				got, _ := eng.Result(q.ID)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("step %d S=%d query %d:\nsharded %v\nita     %v", step, eng.Shards(), q.ID, got, want)
+					t.Fatalf("step %d S=%d query %d:\nsharded %v\nS=1     %v", step, eng.Shards(), q.ID, got, want)
 				}
 			}
 		}
-	}
-}
-
-// TestShardedBatch checks ProcessBatch against per-document Process.
-func TestShardedBatch(t *testing.T) {
-	pol := window.Count{N: 20}
-	a := shard.New(pol, 4)
-	defer a.Close()
-	b := shard.New(pol, 4)
-	defer b.Close()
-
-	ga, gb := newGen(5, 12), newGen(5, 12)
-	for i := 0; i < 5; i++ {
-		qa, qb := ga.query(t, model.QueryID(i+1)), gb.query(t, model.QueryID(i+1))
-		if err := a.Register(qa); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Register(qb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var batch []*model.Document
-	for i := 0; i < 60; i++ {
-		da, db := ga.doc(t), gb.doc(t)
-		if err := a.Process(da); err != nil {
-			t.Fatal(err)
-		}
-		batch = append(batch, db)
-	}
-	if err := b.ProcessBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 5; i++ {
-		ra, _ := a.Result(model.QueryID(i))
-		rb, _ := b.Result(model.QueryID(i))
-		if !reflect.DeepEqual(ra, rb) {
-			t.Fatalf("query %d: batch %v, loop %v", i, rb, ra)
-		}
-	}
-	if *a.Stats() != *b.Stats() {
-		t.Fatalf("stats diverge: %+v vs %+v", *a.Stats(), *b.Stats())
 	}
 }
 

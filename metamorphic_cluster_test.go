@@ -11,6 +11,7 @@ import (
 	"ita/internal/cluster"
 	"ita/internal/core"
 	"ita/internal/faults"
+	"ita/internal/invindex"
 )
 
 // This file extends the metamorphic suite to multi-node cluster mode:
@@ -109,7 +110,7 @@ func runClusterSequence(t *testing.T, data []byte, seed int64, k int, cfg faults
 	// The reference runs the slice posting layout while the cluster nodes
 	// keep the default blocked layout, so every cell of this suite is
 	// also a differential twin for the compressed postings.
-	ref, err := New(append([]Option{WithPostingLayout(LayoutSlices)}, base...)...)
+	ref, err := New(append([]Option{withPostingLayout(invindex.LayoutSlices)}, base...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

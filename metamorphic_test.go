@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ita/internal/invindex"
 )
 
 // This file is the randomized metamorphic equivalence suite of the
@@ -248,7 +250,7 @@ func runOpSequence(t *testing.T, data []byte) {
 	// a probe visits first, never which it visits; the blocked codec
 	// changes the bytes behind the lists, never an entry or a counter).
 	scanTrees := eqEngine{name: "scan-all-trees",
-		e: mk(withScanAllTrees(), WithPostingLayout(LayoutSlices)), watched: map[QueryID]map[DocID]bool{}}
+		e: mk(withScanAllTrees(), withPostingLayout(invindex.LayoutSlices)), watched: map[QueryID]map[DocID]bool{}}
 	grid := []eqEngine{
 		serial,
 		scanTrees,
@@ -278,7 +280,7 @@ func runOpSequence(t *testing.T, data []byte) {
 				}
 				name := fmt.Sprintf("s%d_b%d", s, b)
 				if scan {
-					opts = append(opts, withScanAllTrees(), WithPostingLayout(LayoutSlices))
+					opts = append(opts, withScanAllTrees(), withPostingLayout(invindex.LayoutSlices))
 					name += "_scan"
 				}
 				e, err := Open(dir, append([]Option{pol}, opts...)...)
@@ -552,7 +554,7 @@ func crashAndReopen(t *testing.T, g *eqEngine, context string, forbidden map[Que
 		// The slice-layout pin rides with the scan pin (snapshots restore
 		// the layout, but a crash before the first checkpoint recovers
 		// from the WAL alone and would silently fall back to blocked).
-		opts = append(opts, withScanAllTrees(), WithPostingLayout(LayoutSlices))
+		opts = append(opts, withScanAllTrees(), withPostingLayout(invindex.LayoutSlices))
 	}
 	ne, err := Open(g.walDir, opts...)
 	if err != nil {

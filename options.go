@@ -16,7 +16,9 @@ import (
 type Algorithm int
 
 const (
-	// IncrementalThreshold is the paper's ITA algorithm (the default).
+	// IncrementalThreshold is the paper's ITA algorithm (the default):
+	// the ITA engine with one shard, maintaining every query inline on
+	// the caller's goroutine.
 	IncrementalThreshold Algorithm = iota
 	// NaiveKmax is the paper's competitor: score every arrival against
 	// every query, maintain a top-2k materialized view per query, and
@@ -58,11 +60,10 @@ type config struct {
 	stopwords     bool
 	retainText    bool
 	seed          uint64
-	disableRollup bool
 	scanTrees     bool // scan-all probe trees (equivalence testing)
 	floorTarget   int  // floor margin overrides; 0 = engine default
 	floorRaise    int
-	postingLayout PostingLayout
+	postingLayout invindex.Layout
 	shards        int // ShardedIncrementalThreshold only; 0 = GOMAXPROCS
 	shardsSet     bool
 	batchSize     int // epoch size for auto-coalesced ingestion; <= 1 disables
@@ -135,7 +136,7 @@ func WithAlgorithm(a Algorithm) Option {
 // runtime.GOMAXPROCS. Registered queries are partitioned across the
 // shards and every arrival/expiration fans its per-query maintenance
 // out to shard worker goroutines against a quiescent index, so results
-// are identical to the single-threaded engine. Worth it once the
+// are identical to the default one-shard engine. Worth it once the
 // per-event query maintenance (many standing queries) dominates the
 // index mutation; a single-shard engine runs inline with no worker
 // goroutines. Combining WithShards with a Naïve algorithm is an error.
@@ -301,62 +302,15 @@ func walAttached() Option {
 	return func(c *config) error { c.walAttach = true; return nil }
 }
 
-// PostingLayout selects the physical representation of the inverted
-// index's per-term posting lists; see WithPostingLayout.
-type PostingLayout int
-
-const (
-	// LayoutBlocked (the default) stores postings as flat compressed
-	// blocks — frame-of-reference doc ids and dictionary- or FOR-coded
-	// weights at per-block fixed bit widths, with per-block max-weight/
-	// min-weight/count summaries routing seeks through a block
-	// directory. Roughly a third of the slice layout's bytes per
-	// posting on natural workloads; results, counters and every
-	// maintenance decision are byte-identical to LayoutSlices.
-	LayoutBlocked PostingLayout = iota
-	// LayoutSlices stores postings as chunked sorted slices of raw
-	// 16-byte entries — the original layout, kept as the reference the
-	// equivalence suites hold the blocked layout byte-identical to.
-	LayoutSlices
-)
-
-// String implements fmt.Stringer.
-func (l PostingLayout) String() string {
-	switch l {
-	case LayoutBlocked:
-		return "blocked"
-	case LayoutSlices:
-		return "slices"
-	default:
-		return fmt.Sprintf("posting-layout(%d)", int(l))
-	}
-}
-
-// WithPostingLayout selects the inverted-index posting layout (default
-// LayoutBlocked). The layout is a purely physical choice: both layouts
-// produce byte-identical results, statistics, snapshots and WAL
-// streams, so an engine may be snapshotted under one layout and
-// restored under the other. The choice is recorded in snapshots, and
-// durable recovery reopens with the recorded layout unless an explicit
-// WithPostingLayout is passed to Open.
-func WithPostingLayout(l PostingLayout) Option {
-	return func(c *config) error {
-		switch l {
-		case LayoutBlocked, LayoutSlices:
-			c.postingLayout = l
-			return nil
-		default:
-			return fmt.Errorf("ita: unknown posting layout %d", int(l))
-		}
-	}
-}
-
-// internal maps the facade layout onto the index package's enum.
-func (l PostingLayout) internal() invindex.Layout {
-	if l == LayoutSlices {
-		return invindex.LayoutSlices
-	}
-	return invindex.LayoutBlocked
+// withPostingLayout selects the inverted-index posting layout (default
+// invindex.LayoutBlocked). Unexported: the layout is a purely physical
+// choice — both layouts produce byte-identical results, statistics,
+// snapshots and WAL streams — and the slice layout exists as the
+// differential-twin reference of the metamorphic, cluster and fault
+// suites. The choice is recorded in snapshots, and restore and durable
+// recovery reopen with the recorded layout.
+func withPostingLayout(l invindex.Layout) Option {
+	return func(c *config) error { c.postingLayout = l; return nil }
 }
 
 // WithOkapiScoring replaces cosine similarity with the Okapi BM25
@@ -394,12 +348,6 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) error { c.seed = seed; return nil }
 }
 
-// WithoutRollup disables ITA's threshold roll-up; exposed for the
-// ablation experiments, not recommended for production use.
-func WithoutRollup() Option {
-	return func(c *config) error { c.disableRollup = true; return nil }
-}
-
 // withScanAllTrees pins the ITA engines' probe trees to the scan-all
 // representation, where a probe visits every query registered on the
 // term instead of only the θ-ordered beatable prefix. Unexported: it
@@ -428,35 +376,17 @@ func (c *config) build() core.Engine {
 	case NaivePlain:
 		return core.NewNaive(c.policy, core.WithNaiveSeed(c.seed),
 			core.WithKmax(func(k int) int { return k }))
-	case ShardedIncrementalThreshold:
-		opts := []shard.Option{shard.WithSeed(c.seed)}
-		if c.disableRollup {
-			opts = append(opts, shard.WithoutRollup())
-		}
-		if c.scanTrees {
-			opts = append(opts, shard.WithScanAllTrees())
-		}
-		if c.floorTarget != 0 || c.floorRaise != 0 {
-			opts = append(opts, shard.WithFloorMargins(c.floorTarget, c.floorRaise))
-		}
-		if c.postingLayout != LayoutBlocked {
-			opts = append(opts, shard.WithPostingLayout(c.postingLayout.internal()))
-		}
-		return shard.New(c.policy, c.shards, opts...)
-	default:
-		opts := []core.ITAOption{core.WithITASeed(c.seed)}
-		if c.disableRollup {
-			opts = append(opts, core.WithoutRollup())
-		}
-		if c.scanTrees {
-			opts = append(opts, core.WithScanAllTrees())
-		}
-		if c.floorTarget != 0 || c.floorRaise != 0 {
-			opts = append(opts, core.WithFloorMargins(c.floorTarget, c.floorRaise))
-		}
-		if c.postingLayout != LayoutBlocked {
-			opts = append(opts, core.WithPostingLayout(c.postingLayout.internal()))
-		}
-		return core.NewITA(c.policy, opts...)
 	}
+	opts := []shard.Option{shard.WithSeed(c.seed), shard.WithPostingLayout(c.postingLayout)}
+	if c.scanTrees {
+		opts = append(opts, shard.WithScanAllTrees())
+	}
+	if c.floorTarget != 0 || c.floorRaise != 0 {
+		opts = append(opts, shard.WithFloorMargins(c.floorTarget, c.floorRaise))
+	}
+	shards := 1
+	if c.algorithm == ShardedIncrementalThreshold {
+		shards = c.shards
+	}
+	return shard.New(c.policy, shards, opts...)
 }

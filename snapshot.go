@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ita/internal/core"
+	"ita/internal/invindex"
 	"ita/internal/model"
 	"ita/internal/vsm"
 	"ita/internal/window"
@@ -60,7 +61,7 @@ type snapshot struct {
 	// Epoch size of WithBatchSize. Older snapshots decode it as zero,
 	// which restores unbatched — the pre-batching behavior.
 	BatchSize int
-	// Posting layout of the inverted index (WithPostingLayout). The
+	// Posting layout of the inverted index (withPostingLayout). The
 	// lists themselves are derivable state and never serialized, so the
 	// layout is free to differ between a snapshot and its restored twin;
 	// recording it keeps a durable engine's configuration sticky across
@@ -237,7 +238,7 @@ func (s *snapshot) options() []Option {
 		opts = append(opts, WithBatchSize(s.BatchSize))
 	}
 	if s.PostingLayout != 0 {
-		opts = append(opts, WithPostingLayout(PostingLayout(s.PostingLayout)))
+		opts = append(opts, withPostingLayout(invindex.Layout(s.PostingLayout)))
 	}
 	if s.CountN > 0 {
 		opts = append(opts, WithCountWindow(s.CountN))
@@ -281,6 +282,9 @@ func decodeSnapshot(r io.Reader) (*snapshot, error) {
 	}
 	if s.Version < 1 || s.Version > snapshotVersion {
 		return nil, fmt.Errorf("ita: snapshot version %d, want 1..%d", s.Version, snapshotVersion)
+	}
+	if s.PostingLayout < 0 || s.PostingLayout > int(invindex.LayoutSlices) {
+		return nil, fmt.Errorf("ita: snapshot posting layout %d unknown", s.PostingLayout)
 	}
 	return &s, nil
 }
