@@ -2,26 +2,91 @@ package ita_test
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"ita/internal/harness"
 )
 
-// TestBenchJSONSchemas sanity-checks every checked-in BENCH_*.json
-// artifact: each must parse, carry its hardware context (gomaxprocs,
-// num_cpu) and a non-empty points array, and BENCH_SCALE.json must
-// additionally match the scale schema — including the chained layout
-// baselines, the ≥30% bytes/query reduction the dense layout holds
-// against the original pointer-and-map layout, and the ingest-curve
-// acceptance of the θ-ordered probe index: per-event probe-cost fields
-// on every point, a curve ratio that rules out the old ingest cliff,
-// and a 1M-query ingest rate at least 25× the pre-θ-index record.
-// BENCH_WINDOW.json must match the window schema and hold the blocked
-// posting layout's two headline acceptances against its embedded slice
-// baseline: ≥50% bytes/posting reduction and no probe-latency
-// regression at the paper-scale 100k window.
+// phaseGate is the acceptance of one phase's cells: how many a record
+// holds (max 0: no upper bound) and what each holds positive.
+type phaseGate struct {
+	min, max int
+	positive []string
+}
+
+// bound gates a summary metric to lo <= v <= hi.
+type bound struct {
+	metric string
+	lo, hi float64
+}
+
+// benchGate is one experiment's acceptance over its checked-in record.
+// Names in positive lists are metrics or numeric labels; a 0/1 outcome
+// such as promoted_ok is positive when true.
+type benchGate struct {
+	phases   map[string]phaseGate // by the "phase" label; nil when cells have none
+	positive []string             // held positive by every cell
+	sweep    string               // numeric label whose largest value must reach top
+	top      float64
+	baseline bool // embeds a baseline that measures a different layout
+	summary  []bound
+	check    func(t *testing.T, r harness.Record)
+}
+
+var benchGates = map[string]benchGate{
+	"throughput": {}, "batch": {}, "reads": {}, "recovery": {},
+	"failover": {phases: map[string]phaseGate{
+		"steady":  {min: 1, positive: []string{"lag_samples", "drain_ms"}},
+		"catchup": {min: 1, positive: []string{"behind_epochs", "catchup_ms"}},
+		"promote": {min: 1, max: 1, positive: []string{"promote_ms", "first_read_ms", "promoted_ok"}},
+	}},
+	"cluster": {
+		phases: map[string]phaseGate{
+			"ingest": {min: 2, positive: []string{"ingest_docs_per_sec", "rel_baseline"}},
+			"read":   {min: 2, positive: []string{"merged_read_us", "owner_read_us", "read_iters"}},
+		},
+		positive: []string{"equivalent_ok"},
+		sweep:    "nodes", top: 2,
+	},
+	// The blocked posting layout against its embedded slice baseline at
+	// the paper-scale 100k window: the compression must halve the
+	// storage bill, and must not cost the read path anything.
+	"window": {
+		positive: []string{"window", "postings", "posting_bytes", "bytes_per_posting", "ingest_events_per_sec", "probe_latency_us"},
+		sweep:    "window", top: 100_000,
+		baseline: true,
+		summary: []bound{
+			{"bytes_per_posting_reduction_pct", 50, math.Inf(1)},
+			{"probe_latency_ratio", math.SmallestNonzeroFloat64, 1.0}, // in (0, 1]
+		},
+	},
+	// The θ-ordered probe index: per-event probe-cost fields on every
+	// cell, and an ingest curve that rules out the old ingest cliff.
+	"scale": {
+		positive: []string{"queries", "bytes_per_query", "ingest_events", "probe_hits_per_event", "score_computations_per_event"},
+		sweep:    "queries", top: 1_000_000,
+		baseline: true,
+		summary:  []bound{{"ingest_curve_ratio", 0.25, math.Inf(1)}},
+		check:    scaleChainGate,
+	},
+}
+
+// num reads a metric, or else a numeric label, of a cell (0 if absent).
+func num(c harness.Cell, name string) float64 {
+	if v, ok := c.Metrics[name]; ok {
+		return v
+	}
+	v, _ := strconv.ParseFloat(c.Labels[name], 64)
+	return v
+}
+
+// TestBenchJSONSchemas checks every checked-in BENCH_*.json artifact:
+// each must parse as a valid record of the shared schema (hardware
+// context, at least one cell) and pass its experiment's gate.
 func TestBenchJSONSchemas(t *testing.T) {
 	files, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
@@ -31,213 +96,106 @@ func TestBenchJSONSchemas(t *testing.T) {
 		t.Fatalf("found %d BENCH_*.json files, want at least 8 (sharded, batch, reads, recovery, scale, failover, cluster, window)", len(files))
 	}
 	for _, f := range files {
-		f := f
 		t.Run(f, func(t *testing.T) {
 			data, err := os.ReadFile(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var generic struct {
-				GOMAXPROCS int              `json:"gomaxprocs"`
-				NumCPU     int              `json:"num_cpu"`
-				Points     []map[string]any `json:"points"`
-			}
-			if err := json.Unmarshal(data, &generic); err != nil {
+			var r harness.Record
+			if err := json.Unmarshal(data, &r); err != nil {
 				t.Fatalf("%s does not parse: %v", f, err)
 			}
-			if generic.GOMAXPROCS <= 0 || generic.NumCPU <= 0 {
-				t.Fatalf("%s missing hardware context: gomaxprocs=%d num_cpu=%d",
-					f, generic.GOMAXPROCS, generic.NumCPU)
+			if err := r.Validate(); err != nil {
+				t.Fatalf("%s: %v", f, err)
 			}
-			if len(generic.Points) == 0 {
-				t.Fatalf("%s has no measurement points", f)
+			g, ok := benchGates[r.Experiment]
+			if !ok {
+				t.Fatalf("%s: no gate for experiment %q", f, r.Experiment)
 			}
-
-			if f == "BENCH_FAILOVER.json" {
-				var rep harness.FailoverReport
-				if err := json.Unmarshal(data, &rep); err != nil {
-					t.Fatal(err)
-				}
-				phases := map[string]int{}
-				for _, pt := range rep.Points {
-					phases[pt.Phase]++
-					switch pt.Phase {
-					case "steady":
-						if pt.LagSamples <= 0 || pt.DrainMs <= 0 {
-							t.Fatalf("malformed steady point %+v", pt)
-						}
-					case "catchup":
-						if pt.BehindEpochs <= 0 || pt.CatchupMs <= 0 {
-							t.Fatalf("malformed catchup point %+v", pt)
-						}
-					case "promote":
-						if pt.PromoteMs <= 0 || pt.FirstReadMs <= 0 || !pt.PromotedOK {
-							t.Fatalf("malformed promote point %+v", pt)
-						}
-					default:
-						t.Fatalf("unknown failover phase %q", pt.Phase)
-					}
-				}
-				if phases["steady"] == 0 || phases["catchup"] == 0 || phases["promote"] != 1 {
-					t.Fatalf("failover report phase coverage %v, want steady, catchup cells and exactly one promote", phases)
-				}
-			}
-
-			if f == "BENCH_CLUSTER.json" {
-				var rep harness.ClusterReport
-				if err := json.Unmarshal(data, &rep); err != nil {
-					t.Fatal(err)
-				}
-				phases := map[string]int{}
-				maxNodes := 0
-				for _, pt := range rep.Points {
-					phases[pt.Phase]++
-					if !pt.EquivalentOK {
-						t.Fatalf("cluster cell served diverged results: %+v", pt)
-					}
-					if pt.Nodes > maxNodes {
-						maxNodes = pt.Nodes
-					}
-					switch pt.Phase {
-					case "ingest":
-						if pt.IngestPerSec <= 0 || pt.RelBaseline <= 0 {
-							t.Fatalf("malformed ingest point %+v", pt)
-						}
-					case "read":
-						if pt.MergedReadUs <= 0 || pt.OwnerReadUs <= 0 || pt.ReadIters <= 0 {
-							t.Fatalf("malformed read point %+v", pt)
-						}
-					default:
-						t.Fatalf("unknown cluster phase %q", pt.Phase)
-					}
-				}
-				if phases["ingest"] < 2 || phases["read"] < 2 || maxNodes < 2 {
-					t.Fatalf("cluster report phase coverage %v (max %d nodes), want ingest and read cells for a multi-node count",
-						phases, maxNodes)
-				}
-			}
-
-			if f == "BENCH_WINDOW.json" {
-				var rep harness.WindowReport
-				if err := json.Unmarshal(data, &rep); err != nil {
-					t.Fatal(err)
-				}
-				if rep.Schema != harness.WindowSchema {
-					t.Fatalf("schema %q, want %q", rep.Schema, harness.WindowSchema)
-				}
-				maxW := 0
-				for _, pt := range rep.Points {
-					if pt.Window <= 0 || pt.Postings == 0 || pt.PostingBytes == 0 ||
-						pt.BytesPerPosting <= 0 || pt.IngestPerSec <= 0 || pt.ProbeLatencyUs <= 0 {
-						t.Fatalf("malformed window point %+v", pt)
-					}
-					if pt.Window > maxW {
-						maxW = pt.Window
-					}
-				}
-				if maxW < 100_000 {
-					t.Fatalf("window sweep tops out at %d, want the paper-scale 100k window", maxW)
-				}
-				if rep.Baseline == nil || len(rep.Baseline.Points) == 0 {
-					t.Fatal("window report has no embedded slice baseline")
-				}
-				if rep.Layout == rep.Baseline.Layout {
-					t.Fatalf("report and baseline both measure layout %q", rep.Layout)
-				}
-				// The two headline acceptances of the blocked layout: the
-				// compression must halve the storage bill at the largest
-				// window, and it must not cost the read path anything there.
-				if rep.BytesReductionPct < 50 {
-					t.Fatalf("bytes/posting reduction vs %q is %.1f%%, want >= 50%%",
-						rep.Baseline.Layout, rep.BytesReductionPct)
-				}
-				if rep.ProbeLatencyRatio <= 0 || rep.ProbeLatencyRatio > 1.0 {
-					t.Fatalf("probe latency ratio vs %q is %.2f, want in (0, 1.0] (no read-path regression)",
-						rep.Baseline.Layout, rep.ProbeLatencyRatio)
-				}
-			}
-
-			if f != "BENCH_SCALE.json" {
-				return
-			}
-			var rep harness.ScaleReport
-			if err := json.Unmarshal(data, &rep); err != nil {
-				t.Fatal(err)
-			}
-			if rep.Schema != harness.ScaleSchema {
-				t.Fatalf("schema %q, want %q", rep.Schema, harness.ScaleSchema)
-			}
-			maxQ := 0
-			for _, pt := range rep.Points {
-				if pt.Queries <= 0 || pt.BytesPerQuery <= 0 || pt.IngestEvents <= 0 {
-					t.Fatalf("malformed scale point %+v", pt)
-				}
-				if pt.ProbeHitsPerEvent <= 0 || pt.ScoreCompsPerEvent <= 0 {
-					t.Fatalf("scale point at %d queries missing probe-cost fields: %+v", pt.Queries, pt)
-				}
-				if pt.Queries > maxQ {
-					maxQ = pt.Queries
-				}
-			}
-			if maxQ < 1_000_000 {
-				t.Fatalf("scale sweep tops out at %d queries, want at least 1M", maxQ)
-			}
-			if rep.Baseline == nil || len(rep.Baseline.Points) == 0 {
-				t.Fatal("scale report has no embedded baseline")
-			}
-			if rep.Layout == rep.Baseline.Layout {
-				t.Fatalf("report and baseline both measure layout %q", rep.Layout)
-			}
-
-			// The ingest cliff this sweep exists to catch: the curve may
-			// not collapse with query count, and the largest point must
-			// beat the pre-θ-index record by the accepted 25×.
-			if rep.IngestCurveRatio < 0.25 {
-				t.Fatalf("ingest curve ratio %.3f, want >= 0.25 (events/s at %d queries collapses vs the smallest count)",
-					rep.IngestCurveRatio, maxQ)
-			}
-			var prior1M float64
-			for b := rep.Baseline; b != nil; b = b.Baseline {
-				for _, pt := range b.Points {
-					if pt.Queries == maxQ && pt.IngestPerSec > 0 {
-						prior1M = pt.IngestPerSec // deepest chained record wins
+			phases := map[string]int{}
+			top := 0.0
+			requirePositive := func(c harness.Cell, names []string) {
+				for _, name := range names {
+					if num(c, name) <= 0 {
+						t.Fatalf("malformed %s cell (%s not positive): %+v", r.Experiment, name, c)
 					}
 				}
 			}
-			cur1M := 0.0
-			for _, pt := range rep.Points {
-				if pt.Queries == maxQ {
-					cur1M = pt.IngestPerSec
-				}
-			}
-			if prior1M > 0 && cur1M < 25*prior1M {
-				t.Fatalf("ingest at %d queries is %.1f events/s, want >= 25x the prior record's %.2f",
-					maxQ, cur1M, prior1M)
-			}
-
-			// Memory claim: the dense layout's bytes/query reduction is
-			// measured against the original pointer-and-map layout — the
-			// deepest report in the baseline chain — at the largest query
-			// count both sweeps share.
-			deepest := rep.Baseline
-			for deepest.Baseline != nil && len(deepest.Baseline.Points) > 0 {
-				deepest = deepest.Baseline
-			}
-			var cur, old *harness.ScalePoint
-			for i := range rep.Points {
-				for j := range deepest.Points {
-					if rep.Points[i].Queries == deepest.Points[j].Queries &&
-						(cur == nil || rep.Points[i].Queries > cur.Queries) {
-						cur, old = &rep.Points[i], &deepest.Points[j]
+			for _, c := range r.Cells {
+				requirePositive(c, g.positive)
+				if g.phases != nil {
+					ph := c.Labels["phase"]
+					pg, ok := g.phases[ph]
+					if !ok {
+						t.Fatalf("unknown %s phase %q", r.Experiment, ph)
 					}
+					phases[ph]++
+					requirePositive(c, pg.positive)
+				}
+				top = math.Max(top, num(c, g.sweep))
+			}
+			for ph, pg := range g.phases {
+				if phases[ph] < pg.min || pg.max > 0 && phases[ph] > pg.max {
+					t.Fatalf("%s phase coverage %v, want %q cells in [%d, %d] (0: unbounded)",
+						r.Experiment, phases, ph, pg.min, pg.max)
 				}
 			}
-			if cur == nil {
-				t.Fatalf("no shared sweep point between layout %q and deepest baseline %q", rep.Layout, deepest.Layout)
+			if top < g.top {
+				t.Fatalf("%s sweep tops out at %s=%g, want at least %g", r.Experiment, g.sweep, top, g.top)
 			}
-			if red := 100 * (1 - cur.BytesPerQuery/old.BytesPerQuery); red < 30 {
-				t.Fatalf("bytes/query reduction vs %q is %.1f%%, want >= 30%%", deepest.Layout, red)
+			if g.baseline {
+				if r.Baseline == nil || len(r.Baseline.Cells) == 0 {
+					t.Fatalf("%s record has no embedded baseline", r.Experiment)
+				}
+				if r.Params["layout"] == r.Baseline.Params["layout"] {
+					t.Fatalf("record and baseline both measure layout %v", r.Params["layout"])
+				}
+			}
+			for _, b := range g.summary {
+				if v := r.Summary[b.metric]; v < b.lo || v > b.hi {
+					t.Fatalf("%s %s is %g, want in [%g, %g]", r.Experiment, b.metric, v, b.lo, b.hi)
+				}
+			}
+			if g.check != nil {
+				g.check(t, r)
 			}
 		})
+	}
+}
+
+// scaleChainGate holds the scale record against its baseline chain:
+// ingest at the largest query count at least 25× the deepest chained
+// record's, and bytes/query at least 30% below the original
+// pointer-and-map layout (the deepest baseline) at the largest query
+// count both sweeps share.
+func scaleChainGate(t *testing.T, r harness.Record) {
+	maxQ, cur1M := 0.0, 0.0
+	for _, c := range r.Cells {
+		if q := num(c, "queries"); q > maxQ {
+			maxQ, cur1M = q, c.Metrics["ingest_events_per_sec"]
+		}
+	}
+	var prior1M float64
+	for b := r.Baseline; b != nil; b = b.Baseline {
+		for _, c := range b.Cells {
+			if num(c, "queries") == maxQ && c.Metrics["ingest_events_per_sec"] > 0 {
+				prior1M = c.Metrics["ingest_events_per_sec"] // deepest chained record wins
+			}
+		}
+	}
+	if prior1M > 0 && cur1M < 25*prior1M {
+		t.Fatalf("ingest at %g queries is %.1f events/s, want >= 25x the prior record's %.2f", maxQ, cur1M, prior1M)
+	}
+
+	deepest := r.Baseline
+	for deepest.Baseline != nil && len(deepest.Baseline.Cells) > 0 {
+		deepest = deepest.Baseline
+	}
+	cur, old, ok := r.AttachBaseline(*deepest, "queries")
+	if !ok {
+		t.Fatalf("no shared sweep cell between layout %v and deepest baseline %v", r.Params["layout"], deepest.Params["layout"])
+	}
+	if red := 100 * (1 - cur.Metrics["bytes_per_query"]/old.Metrics["bytes_per_query"]); red < 30 {
+		t.Fatalf("bytes/query reduction vs %v is %.1f%%, want >= 30%%", deepest.Params["layout"], red)
 	}
 }

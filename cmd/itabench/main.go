@@ -1,5 +1,5 @@
-// Command itabench regenerates the paper's experimental figures and the
-// repository's ablation studies (DESIGN.md §5).
+// Command itabench regenerates the paper's experimental figures, the
+// repository's ablation studies and its BENCH_*.json records.
 //
 // Usage:
 //
@@ -14,6 +14,14 @@
 //	itabench -exp failover -queries 2000 -behind 4,16,64 -json BENCH_FAILOVER.json
 //	itabench -exp cluster -queries 2000 -nodes 1,2,3 -json BENCH_CLUSTER.json
 //	itabench -exp window -windows 1000,10000,100000 -json BENCH_WINDOW.json
+//	itabench -exp scale -counts 10000,100000,1000000 -baseline old.json -json BENCH_SCALE.json
+//
+// The eight BENCH experiments (throughput, batch, reads, recovery,
+// scale, window, failover, cluster) each print and, with -json, write
+// one harness.Record (schema ita-bench/v3: env, params, labelled cells
+// of metrics, optional summary and embedded baseline). A record is
+// validated before it is written; the acceptance gates on the
+// checked-in BENCH_*.json files live in bench_schema_test.go.
 //
 // The paper profile reproduces the published configuration (1,000
 // queries, 181,978-term dictionary, windows up to 100,000 documents) and
@@ -41,13 +49,13 @@ func main() {
 		csvDir  = flag.String("csv", "", "directory to write per-figure CSV files (optional)")
 		quiet   = flag.Bool("q", false, "suppress progress lines")
 		// -exp throughput knobs: the sharding experiment sweeps the
-		// one-shard "single" cell plus every count in -shards.
+		// one-shard baseline cell plus every other count in -shards.
 		queries  = flag.Int("queries", 10000, "throughput/batch: standing queries")
 		shardSet = flag.String("shards", "1,2,4,8", "throughput/batch: comma-separated shard counts")
 		batch    = flag.Int("batch", 64, "reads/recovery/failover/cluster: documents per ingest batch")
 		epochSet = flag.String("epochs", "1,8,64,256", "batch: comma-separated epoch sizes B")
 		events   = flag.Int("events", 2000, "throughput/batch: measured events per configuration")
-		jsonOut  = flag.String("json", "", "throughput/batch/reads: write the report as JSON to this path")
+		jsonOut  = flag.String("json", "", "throughput/batch/reads/recovery/scale/window/failover/cluster: write the record as JSON to this path")
 		// -exp reads knobs: the mixed read/write experiment sweeps the
 		// wait-free published read path against the locked baseline at
 		// every reader count in -readers.
@@ -75,7 +83,7 @@ func main() {
 		// blocked layout against the slice layout over the same windows.
 		windowSet = flag.String("windows", "1000,10000,100000", "window: comma-separated window sizes")
 		layout    = flag.String("layout", "theta-probe", "scale: label for the query-state layout under measurement")
-		baseline  = flag.String("baseline", "", "scale: path to an earlier layout's scale JSON to embed as the comparison baseline")
+		baseline  = flag.String("baseline", "", "scale: path to an earlier layout's scale record to embed as the comparison baseline")
 	)
 	flag.Parse()
 
@@ -95,6 +103,51 @@ func main() {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "[%s] %s\n", harness.Elapsed(start), msg)
 		}
+	}
+
+	// The BENCH experiments, each emitting one record.
+	benches := map[string]func() (harness.Record, error){
+		"throughput": func() (harness.Record, error) {
+			return harness.Throughput(p, *queries, 10, 1000, parseInts(*shardSet, "-shards", 0), *events, progress)
+		},
+		"batch": func() (harness.Record, error) {
+			return harness.BatchSweep(p, *queries, 10, 1000,
+				parseInts(*epochSet, "-epochs", 1), parseInts(*shardSet, "-shards", 0), *events, progress)
+		},
+		"reads": func() (harness.Record, error) {
+			return harness.ReadWrite(p, *queries, 10, 1000, *batch,
+				parseInts(*readerSet, "-readers", 1), time.Duration(*readMs)*time.Millisecond, progress)
+		},
+		"recovery": func() (harness.Record, error) {
+			return harness.Recovery(p, *queries, 10, 1000, *batch, parseInts(*ckptSet, "-ckpts", 0), *events, progress)
+		},
+		"scale": func() (harness.Record, error) {
+			var base *harness.Record
+			if *baseline != "" {
+				base = readRecord(*baseline)
+			}
+			return harness.Scale(p, parseInts(*countSet, "-counts", 1), 4, *scaleWin, *events, *layout, base, progress)
+		},
+		"window": func() (harness.Record, error) {
+			return harness.WindowSweep(p, parseInts(*windowSet, "-windows", 1), 4, progress)
+		},
+		"failover": func() (harness.Record, error) {
+			return harness.Failover(p, *queries, 10, 1000, *batch, parseInts(*behindSet, "-behind", 1), *events, progress)
+		},
+		"cluster": func() (harness.Record, error) {
+			return harness.Cluster(p, *queries, 10, 1000, *batch, parseInts(*nodesSet, "-nodes", 1), *events, progress)
+		},
+	}
+	if run, ok := benches[*exp]; ok {
+		rec, err := run()
+		if err != nil {
+			fail(err)
+		}
+		fmt.Print(rec.Format())
+		if *jsonOut != "" {
+			writeRecord(*jsonOut, rec, *quiet)
+		}
+		return
 	}
 
 	var figures []harness.Figure
@@ -122,86 +175,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Print(report.Format())
-		return
-	case "throughput":
-		rep, err := harness.Throughput(p, *queries, 10, 1000, parseInts(*shardSet, "-shards", 0), *events, progress)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(rep.Format())
-		writeJSON(*jsonOut, rep.JSON, *quiet)
-		return
-	case "batch":
-		rep, err := harness.BatchSweep(p, *queries, 10, 1000,
-			parseInts(*epochSet, "-epochs", 1), parseInts(*shardSet, "-shards", 0), *events, progress)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(rep.Format())
-		writeJSON(*jsonOut, rep.JSON, *quiet)
-		return
-	case "reads":
-		rep, err := harness.ReadWrite(p, *queries, 10, 1000, *batch,
-			parseInts(*readerSet, "-readers", 1), time.Duration(*readMs)*time.Millisecond, progress)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(rep.Format())
-		writeJSON(*jsonOut, rep.JSON, *quiet)
-		return
-	case "scale":
-		rep, err := harness.Scale(p, parseInts(*countSet, "-counts", 1), 4, *scaleWin, *events, *layout, progress)
-		if err != nil {
-			fail(err)
-		}
-		if *baseline != "" {
-			data, err := os.ReadFile(*baseline)
-			if err != nil {
-				fail(err)
-			}
-			var base harness.ScaleReport
-			if err := json.Unmarshal(data, &base); err != nil {
-				fail(fmt.Errorf("parse -baseline %s: %w", *baseline, err))
-			}
-			rep.AttachBaseline(base)
-		}
-		fmt.Print(rep.Format())
-		writeJSON(*jsonOut, rep.JSON, *quiet)
-		return
-	case "window":
-		rep, err := harness.WindowSweep(p, parseInts(*windowSet, "-windows", 1), 4, progress)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(rep.Format())
-		writeJSON(*jsonOut, rep.JSON, *quiet)
-		return
-	case "failover":
-		rep, err := harness.Failover(p, *queries, 10, 1000, *batch,
-			parseInts(*behindSet, "-behind", 1), *events, progress)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(rep.Format())
-		writeJSON(*jsonOut, rep.JSON, *quiet)
-		return
-	case "cluster":
-		rep, err := harness.Cluster(p, *queries, 10, 1000, *batch,
-			parseInts(*nodesSet, "-nodes", 1), *events, progress)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(rep.Format())
-		writeJSON(*jsonOut, rep.JSON, *quiet)
-		return
-	case "recovery":
-		rep, err := harness.Recovery(p, *queries, 10, 1000, *batch,
-			parseInts(*ckptSet, "-ckpts", 0), *events, progress)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(rep.Format())
-		writeJSON(*jsonOut, rep.JSON, *quiet)
 		return
 	case "fig3a":
 		figures = []harness.Figure{harness.Fig3a(p, progress)}
@@ -274,12 +247,29 @@ func parseInts(s, flagName string, minVal int) []int {
 	return out
 }
 
-// writeJSON writes a report to path when path is non-empty.
-func writeJSON(path string, marshal func() ([]byte, error), quiet bool) {
-	if path == "" {
-		return
+// readRecord loads a BENCH record, such as an earlier layout's scale
+// sweep given as -baseline.
+func readRecord(path string) *harness.Record {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fail(err)
 	}
-	data, err := marshal()
+	var rec harness.Record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		fail(fmt.Errorf("parse %s: %w", path, err))
+	}
+	if err := rec.Validate(); err != nil {
+		fail(fmt.Errorf("%s: %w", path, err))
+	}
+	return &rec
+}
+
+// writeRecord validates a record and writes it as JSON to path.
+func writeRecord(path string, rec harness.Record, quiet bool) {
+	if err := rec.Validate(); err != nil {
+		fail(err)
+	}
+	data, err := rec.JSON()
 	if err != nil {
 		fail(err)
 	}

@@ -310,10 +310,11 @@
 // itabench -exp scale measures the result (BENCH_SCALE.json): engine
 // memory per registered query and steady-state ingest events/s at
 // 10k/100k/1M standing queries, with earlier layouts' sweeps embedded
-// as chained baselines. The report records probe hits and score
-// computations per event alongside throughput, plus the ingest curve
-// ratio (events/s at the largest query count over the smallest) — the
-// flatness number that catches a probe-cost regression as a cliff.
+// as chained baselines. Each cell records probe hits and score
+// computations per event alongside throughput, and the summary the
+// ingest curve ratio (events/s at the largest query count over the
+// smallest) — the flatness number that catches a probe-cost regression
+// as a cliff.
 //
 // # Compressed posting storage
 //
@@ -337,6 +338,9 @@
 // fault suites pin their oracle engines to it, so every equivalence run
 // doubles as a blocked-versus-slice differential twin.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured comparison of every figure.
+// Every BENCH_*.json file in the repository is one record of schema
+// ita-bench/v3 (internal/harness.Record): env, workload params, labelled
+// cells of metrics, and an optional summary and embedded baseline.
+// README.md describes the format; TestBenchJSONSchemas holds the
+// acceptance gate of each experiment's checked-in record.
 package ita

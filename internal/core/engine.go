@@ -164,3 +164,21 @@ func (s *Stats) Add(o *Stats) {
 	s.ScoreComputations += o.ScoreComputations
 	s.Rescans += o.Rescans
 }
+
+// Sub subtracts o from s field-wise: with o an earlier reading of the
+// same engine, s becomes the counts of the work done in between.
+func (s *Stats) Sub(o *Stats) {
+	s.Arrivals -= o.Arrivals
+	s.Expirations -= o.Expirations
+	s.Epochs -= o.Epochs
+	s.ProbeHits -= o.ProbeHits
+	s.SearchReads -= o.SearchReads
+	s.RollupSteps -= o.RollupSteps
+	s.RollupDrops -= o.RollupDrops
+	s.Refills -= o.Refills
+	s.TreeUpdates -= o.TreeUpdates
+	s.IndexInserts -= o.IndexInserts
+	s.IndexDeletes -= o.IndexDeletes
+	s.ScoreComputations -= o.ScoreComputations
+	s.Rescans -= o.Rescans
+}

@@ -1,148 +1,68 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
-	"strings"
+	"strconv"
 	"time"
 
-	"ita/internal/core"
 	"ita/internal/corpus"
 	"ita/internal/model"
 	"ita/internal/shard"
-	"ita/internal/stream"
-	"ita/internal/vsm"
 	"ita/internal/window"
 )
 
-// BatchPoint is one (engine configuration, epoch size) cell of the
-// batch sweep.
-type BatchPoint struct {
-	Config       string  `json:"config"` // "single" or "sharded-N"
-	Shards       int     `json:"shards"` // 0 for the "single" baseline cell
-	EpochSize    int     `json:"epoch_size"`
-	Events       int     `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	MeanMs       float64 `json:"mean_ms"`
-	WallMs       float64 `json:"wall_ms"`
-	// SpeedupVsB1 is this cell's events/sec over the same engine
-	// configuration at epoch size 1 (event-serial processing) — the
-	// amortization the epoch pipeline buys, isolated from parallelism.
-	SpeedupVsB1 float64 `json:"speedup_vs_b1"`
-	// Refills and IndexOps explain the speedup: net-effect maintenance
-	// and transient elision shrink both with growing epochs.
-	Refills  uint64 `json:"refills"`
-	IndexOps uint64 `json:"index_ops"`
-}
-
-// BatchReport is the outcome of the epoch-size sweep: steady-state
-// events/sec of the ITA engine at one shard ("single") and several
-// shard counts, at several epoch sizes B, on a many-query workload.
-// B=1 is event-serial processing; larger epochs amortize index
-// mutation, affected-query probing and (with several shards) the
-// fan-out barrier across the batch. Hardware context is recorded
-// because the fan-out part of the story needs real cores.
-type BatchReport struct {
-	Queries    int          `json:"queries"`
-	QueryLen   int          `json:"query_len"`
-	K          int          `json:"k"`
-	Window     int          `json:"window"`
-	DictSize   int          `json:"dict_size"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	NumCPU     int          `json:"num_cpu"`
-	Points     []BatchPoint `json:"points"`
-}
-
 // BatchSweep measures steady-state event throughput at every epoch size
-// in epochSizes, for the one-shard engine ("single") and the engine at
-// every count in shardCounts, all on the same synthetic workload of
-// `queries` standing queries over a count window of `win` documents.
-// Events are fed through ProcessEpoch in chunks of the epoch size
-// (chunks of one go through Process, i.e. B=1 is the event-serial
-// baseline).
-func BatchSweep(p Profile, queries, queryLen, win int, epochSizes, shardCounts []int, events int, progress func(string)) (BatchReport, error) {
+// in epochSizes, once per distinct shard count (the one-shard engine
+// first, then every other count in shardCounts), all on the same
+// synthetic workload of `queries` standing queries over a count window
+// of `win` documents. Events are fed through ProcessEpoch in chunks of
+// the epoch size (chunks of one go through Process, i.e. B=1 is the
+// event-serial baseline). Larger epochs amortize index mutation,
+// affected-query probing and (with several shards) the fan-out barrier
+// across the batch; speedup_vs_b1 isolates that amortization from
+// parallelism, and refills and index_ops explain it.
+func BatchSweep(p Profile, queries, queryLen, win int, epochSizes, shardCounts []int, events int, progress func(string)) (Record, error) {
 	cfg := p.corpusCfg()
-	rep := BatchReport{
-		Queries:    queries,
-		QueryLen:   queryLen,
-		K:          p.K,
-		Window:     win,
-		DictSize:   cfg.DictSize,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-
-	// The "single" cell is the one-shard engine; reports label it with
-	// shard count 0.
-	type engineCfg struct {
-		name   string
-		shards int // reported shard count
-		n      int // shards built
-	}
+	rec := newRecord("batch", map[string]any{
+		"queries": queries, "query_len": queryLen, "k": p.K, "window": win, "dict_size": cfg.DictSize,
+	})
 	pol := window.Count{N: win}
-	engines := []engineCfg{{name: "single", n: 1}}
-	for _, s := range shardCounts {
-		eng := shard.New(pol, s) // resolve the auto count for the label
-		resolved := eng.Shards()
-		eng.Close()
-		engines = append(engines, engineCfg{name: fmt.Sprintf("sharded-%d", resolved), shards: resolved, n: resolved})
-	}
-
-	for _, ec := range engines {
-		first := len(rep.Points)
+	for _, s := range distinctShards(pol, shardCounts) {
+		first := len(rec.Cells)
+		b1 := 0.0
 		for _, b := range epochSizes {
 			if progress != nil {
-				progress(fmt.Sprintf("batch sweep: %s B=%d (%d queries)", ec.name, b, queries))
+				progress(fmt.Sprintf("batch sweep: %d shard(s) B=%d (%d queries)", s, b, queries))
 			}
-			eng := shard.New(pol, ec.n)
-			pt, err := runBatchCell(p, cfg, eng, queries, queryLen, win, b, events)
+			eng := shard.New(pol, s)
+			c, err := batchCell(p, cfg, eng, queries, queryLen, win, b, events)
 			eng.Close()
 			if err != nil {
-				return rep, err
+				return rec, err
 			}
-			pt.Config = ec.name
-			pt.Shards = ec.shards
-			rep.Points = append(rep.Points, pt)
+			c.Labels = map[string]string{"shards": strconv.Itoa(s), "epoch_size": strconv.Itoa(b)}
+			if b == 1 {
+				b1 = c.Metrics["events_per_sec"]
+			}
+			rec.Cells = append(rec.Cells, c)
 		}
-		// Normalize against this configuration's B=1 cell wherever it
+		// Normalize against this shard count's B=1 cell wherever it
 		// appears in the sweep; without one the ratio is undefined and
-		// stays 0 (rendered as "-").
-		var b1 float64
-		for _, pt := range rep.Points[first:] {
-			if pt.EpochSize == 1 {
-				b1 = pt.EventsPerSec
-			}
-		}
-		if b1 > 0 {
-			for i := range rep.Points[first:] {
-				rep.Points[first+i].SpeedupVsB1 = rep.Points[first+i].EventsPerSec / b1
+		// the metric stays 0.
+		for _, c := range rec.Cells[first:] {
+			c.Metrics["speedup_vs_b1"] = 0
+			if b1 > 0 {
+				c.Metrics["speedup_vs_b1"] = c.Metrics["events_per_sec"] / b1
 			}
 		}
 	}
-	return rep, nil
+	return rec, nil
 }
 
-func runBatchCell(p Profile, cfg corpus.SynthConfig, eng core.Engine, queries, queryLen, win, epochSize, events int) (BatchPoint, error) {
-	pt := BatchPoint{EpochSize: epochSize}
-	qSynth, err := corpus.NewSynth(withSeed(cfg, 7777), vsm.Cosine{})
+func batchCell(p Profile, cfg corpus.SynthConfig, eng *shard.Engine, queries, queryLen, win, epochSize, events int) (Cell, error) {
+	str, err := primed(p, cfg, eng, queries, queryLen, win)
 	if err != nil {
-		return pt, err
-	}
-	dSynth, err := corpus.NewSynth(cfg, vsm.Cosine{})
-	if err != nil {
-		return pt, err
-	}
-	str := stream.New(dSynth.Document, p.Rate, cfg.Seed+1, time.Unix(0, 0))
-	for i := 0; i < win; i++ {
-		if err := eng.Process(str.Next()); err != nil {
-			return pt, err
-		}
-	}
-	for i := 0; i < queries; i++ {
-		if err := eng.Register(qSynth.Query(model.QueryID(i+1), p.K, queryLen)); err != nil {
-			return pt, err
-		}
+		return Cell{}, err
 	}
 	// Pre-generate the measured stream so document synthesis stays out
 	// of the timed loop — the sweep compares engine cost, not corpus
@@ -151,24 +71,19 @@ func runBatchCell(p Profile, cfg corpus.SynthConfig, eng core.Engine, queries, q
 	for i := range docs {
 		docs[i] = str.Next()
 	}
-	ep, _ := eng.(core.EpochProcessor)
-	statsBefore := *eng.Stats()
+	before := *eng.Stats()
 	done := 0
 	start := time.Now()
 	for done < events {
-		n := epochSize
-		if rem := events - done; n > rem {
-			n = rem
-		}
-		if n > 1 && ep != nil {
-			if err := ep.ProcessEpoch(docs[done : done+n]); err != nil {
-				return pt, err
-			}
+		n := min(epochSize, events-done)
+		var err error
+		if n > 1 {
+			err = eng.ProcessEpoch(docs[done : done+n])
 		} else {
-			n = 1
-			if err := eng.Process(docs[done]); err != nil {
-				return pt, err
-			}
+			err = eng.Process(docs[done])
+		}
+		if err != nil {
+			return Cell{}, err
 		}
 		done += n
 		if p.MaxMeasure > 0 && time.Since(start) > p.MaxMeasure {
@@ -176,38 +91,14 @@ func runBatchCell(p Profile, cfg corpus.SynthConfig, eng core.Engine, queries, q
 		}
 	}
 	wall := time.Since(start)
-	stats := eng.Stats()
-	pt.Events = done
-	pt.MeanMs = float64(wall.Nanoseconds()) / 1e6 / float64(done)
-	pt.WallMs = float64(wall.Nanoseconds()) / 1e6
-	pt.EventsPerSec = float64(done) / wall.Seconds()
-	pt.Refills = stats.Refills - statsBefore.Refills
-	pt.IndexOps = stats.IndexInserts + stats.IndexDeletes -
-		statsBefore.IndexInserts - statsBefore.IndexDeletes
-	return pt, nil
+	delta := *eng.Stats()
+	delta.Sub(&before)
+	return Cell{Metrics: map[string]float64{
+		"events":         float64(done),
+		"events_per_sec": float64(done) / wall.Seconds(),
+		"mean_ms":        float64(wall.Nanoseconds()) / 1e6 / float64(done),
+		"wall_ms":        float64(wall.Nanoseconds()) / 1e6,
+		"refills":        float64(delta.Refills),
+		"index_ops":      float64(delta.IndexInserts + delta.IndexDeletes),
+	}}, nil
 }
-
-// Format renders the report as an aligned text table.
-func (r BatchReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "epoch batch sweep — %d queries (n=%d, k=%d), window N=%d, GOMAXPROCS=%d\n",
-		r.Queries, r.QueryLen, r.K, r.Window, r.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-12s%6s%10s%14s%12s%12s%10s%12s\n",
-		"config", "B", "events", "events/sec", "mean ms", "refills", "idx ops", "vs B=1")
-	for _, pt := range r.Points {
-		speedup := "-"
-		if pt.SpeedupVsB1 > 0 {
-			speedup = fmt.Sprintf("%.2fx", pt.SpeedupVsB1)
-		}
-		fmt.Fprintf(&b, "%-12s%6d%10d%14.1f%12.4f%12d%10d%12s\n",
-			pt.Config, pt.EpochSize, pt.Events, pt.EventsPerSec, pt.MeanMs,
-			pt.Refills, pt.IndexOps, speedup)
-	}
-	if r.GOMAXPROCS == 1 {
-		fmt.Fprintf(&b, "note: GOMAXPROCS=1 — the sharded rows measure the barrier amortization only; parallel fan-out speedup needs real cores.\n")
-	}
-	return b.String()
-}
-
-// JSON renders the report for BENCH_*.json files.
-func (r BatchReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }

@@ -1,56 +1,14 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"strings"
+	"strconv"
 	"time"
 
 	"ita"
 	"ita/internal/cluster"
 )
-
-// ClusterPoint is one cell of the multi-node experiment. Each node
-// count produces two phases:
-//
-//   - "ingest": the full document stream fanned out to every node
-//     through the merge router, in epoch-sized batches. The single-node
-//     cell is the baseline; larger cells pay the fan-out (every node
-//     ingests every document) but each node maintains only its slice of
-//     the queries.
-//   - "read": merged reads through the router — ResultsAll concatenates
-//     and re-sorts every node's slice; Results routes to the placement
-//     owner. Latencies are averaged over ReadIters iterations.
-type ClusterPoint struct {
-	Phase string `json:"phase"`
-	Nodes int    `json:"nodes"`
-	// Ingest cells.
-	IngestPerSec float64 `json:"ingest_docs_per_sec,omitempty"`
-	RelBaseline  float64 `json:"rel_baseline,omitempty"`
-	// Read cells.
-	MergedReadUs float64 `json:"merged_read_us,omitempty"`
-	OwnerReadUs  float64 `json:"owner_read_us,omitempty"`
-	ReadIters    int     `json:"read_iters,omitempty"`
-	// Every cell must serve results identical to the first cell's.
-	EquivalentOK bool `json:"equivalent_ok"`
-}
-
-// ClusterReport is the outcome of the multi-node experiment, with the
-// same hardware context as the other BENCH reports.
-type ClusterReport struct {
-	Queries    int            `json:"queries"`
-	QueryLen   int            `json:"query_len"`
-	K          int            `json:"k"`
-	Window     int            `json:"window"`
-	BatchSize  int            `json:"batch_size"`
-	Events     int            `json:"events"`
-	NodeCounts []int          `json:"node_counts"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"num_cpu"`
-	Points     []ClusterPoint `json:"points"`
-}
 
 // Cluster measures hash-partitioned query serving behind the merge
 // router at each node count: ingest throughput through the full
@@ -59,26 +17,34 @@ type ClusterReport struct {
 // workload (same seeds, same pinned timestamps), so the first cell —
 // conventionally a single node — is both the performance baseline and
 // the correctness reference for every larger cluster.
-func Cluster(p Profile, queries, queryLen, win, batch int, nodeCounts []int, events int, progress func(string)) (ClusterReport, error) {
+//
+// Each node count produces two cells, labelled by phase and nodes:
+//
+//   - "ingest": the full document stream fanned out to every node
+//     through the merge router, in epoch-sized batches. Every node
+//     ingests every document, so rel_baseline (throughput against the
+//     first cell) is the fan-out cost, while each node maintains only
+//     its placement-hash slice of the queries.
+//   - "read": merged reads through the router — merged_read_us is one
+//     ResultsAll (concatenate and re-sort every node's slice),
+//     owner_read_us one placement-routed Results, each averaged over
+//     read_iters iterations.
+//
+// equivalent_ok confirms the cell serves results identical to the first
+// cell's, match for match.
+func Cluster(p Profile, queries, queryLen, win, batch int, nodeCounts []int, events int, progress func(string)) (Record, error) {
 	const dict = 2000
 	const readIters = 200
-	rep := ClusterReport{
-		Queries:    queries,
-		QueryLen:   queryLen,
-		K:          p.K,
-		Window:     win,
-		BatchSize:  batch,
-		Events:     events,
-		NodeCounts: nodeCounts,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
+	rec := newRecord("cluster", map[string]any{
+		"queries": queries, "query_len": queryLen, "k": p.K, "window": win, "batch_size": batch,
+		"events": events, "node_counts": nodeCounts,
+	})
 
 	var reference []cluster.QueryTopK
 	var baseRate float64
 	for _, n := range nodeCounts {
 		if n < 1 {
-			return rep, fmt.Errorf("cluster: node count %d < 1", n)
+			return rec, fmt.Errorf("cluster: node count %d < 1", n)
 		}
 		if progress != nil {
 			progress(fmt.Sprintf("cluster: %d node(s), %d queries, %d events", n, queries, events))
@@ -89,7 +55,7 @@ func Cluster(p Profile, queries, queryLen, win, batch int, nodeCounts []int, eve
 		for i := range engines {
 			eng, err := ita.New(ita.WithCountWindow(win), ita.WithBatchSize(batch))
 			if err != nil {
-				return rep, err
+				return rec, err
 			}
 			defer eng.Close()
 			engines[i] = eng
@@ -97,13 +63,13 @@ func Cluster(p Profile, queries, queryLen, win, batch int, nodeCounts []int, eve
 		}
 		router, err := cluster.NewRouter(nodes)
 		if err != nil {
-			return rep, err
+			return rec, err
 		}
 
 		qrnd := rand.New(rand.NewSource(7777))
 		for i := 0; i < queries; i++ {
 			if _, err := router.Register(readsText(qrnd, dict, queryLen), p.K); err != nil {
-				return rep, err
+				return rec, err
 			}
 		}
 
@@ -120,61 +86,71 @@ func Cluster(p Profile, queries, queryLen, win, batch int, nodeCounts []int, eve
 				items[i] = ita.TimedText{Text: readsText(rnd, dict, 12), At: clock}
 			}
 			if _, err := router.IngestBatch(items); err != nil {
-				return rep, err
+				return rec, err
 			}
 			sent += batch
 		}
 		if err := router.Flush(); err != nil {
-			return rep, err
+			return rec, err
 		}
 		rate := float64(sent) / time.Since(start).Seconds()
-		ipt := ClusterPoint{Phase: "ingest", Nodes: n, IngestPerSec: rate}
 		if baseRate == 0 {
 			baseRate = rate
 		}
-		ipt.RelBaseline = rate / baseRate
+		nodesLabel := strconv.Itoa(n)
 
 		// Correctness gate before the read timings: every cell serves
 		// the same merged answer as the first cell, match for match.
 		all, err := router.ResultsAll()
 		if err != nil {
-			return rep, err
+			return rec, err
 		}
 		if reference == nil {
 			reference = all
-			ipt.EquivalentOK = true
-		} else {
-			ipt.EquivalentOK = sameTopK(all, reference)
 		}
-		rep.Points = append(rep.Points, ipt)
-		if !ipt.EquivalentOK {
-			return rep, fmt.Errorf("cluster: %d-node merged results diverge from the baseline cell", n)
+		equivalent := sameTopK(all, reference)
+		rec.Cells = append(rec.Cells, Cell{
+			Labels: map[string]string{"phase": "ingest", "nodes": nodesLabel},
+			Metrics: map[string]float64{
+				"ingest_docs_per_sec": rate,
+				"rel_baseline":        rate / baseRate,
+				"equivalent_ok":       bit(equivalent),
+			},
+		})
+		if !equivalent {
+			return rec, fmt.Errorf("cluster: %d-node merged results diverge from the baseline cell", n)
 		}
 
 		// Read phase: merged scans and owner-routed point reads.
-		rpt := ClusterPoint{Phase: "read", Nodes: n, ReadIters: readIters, EquivalentOK: true}
 		t0 := time.Now()
 		for i := 0; i < readIters; i++ {
 			if _, err := router.ResultsAll(); err != nil {
-				return rep, err
+				return rec, err
 			}
 		}
-		rpt.MergedReadUs = float64(time.Since(t0).Nanoseconds()) / 1e3 / readIters
+		mergedUs := float64(time.Since(t0).Nanoseconds()) / 1e3 / readIters
 		t0 = time.Now()
 		for i := 0; i < readIters; i++ {
 			id := reference[i%len(reference)].Query
 			if _, _, ok, err := router.Results(id); err != nil || !ok {
-				return rep, fmt.Errorf("cluster: owner read %d: ok=%v err=%v", id, ok, err)
+				return rec, fmt.Errorf("cluster: owner read %d: ok=%v err=%v", id, ok, err)
 			}
 		}
-		rpt.OwnerReadUs = float64(time.Since(t0).Nanoseconds()) / 1e3 / readIters
-		rep.Points = append(rep.Points, rpt)
+		rec.Cells = append(rec.Cells, Cell{
+			Labels: map[string]string{"phase": "read", "nodes": nodesLabel},
+			Metrics: map[string]float64{
+				"merged_read_us": mergedUs,
+				"owner_read_us":  float64(time.Since(t0).Nanoseconds()) / 1e3 / readIters,
+				"read_iters":     readIters,
+				"equivalent_ok":  1,
+			},
+		})
 
 		if err := router.Close(); err != nil {
-			return rep, err
+			return rec, err
 		}
 	}
-	return rep, nil
+	return rec, nil
 }
 
 // sameTopK reports whether two merged result sets are identical:
@@ -196,30 +172,3 @@ func sameTopK(got, want []cluster.QueryTopK) bool {
 	}
 	return true
 }
-
-// Format renders the report as an aligned text table.
-func (r ClusterReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cluster — %d queries (n=%d, k=%d), window N=%d, B=%d, %d events, GOMAXPROCS=%d\n",
-		r.Queries, r.QueryLen, r.K, r.Window, r.BatchSize, r.Events, r.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-8s%-8s%14s%10s%14s%14s%8s\n",
-		"phase", "nodes", "docs/s", "rel", "merged us", "owner us", "equiv")
-	for _, pt := range r.Points {
-		rate, rel, merged, owner := "-", "-", "-", "-"
-		switch pt.Phase {
-		case "ingest":
-			rate = fmt.Sprintf("%.0f", pt.IngestPerSec)
-			rel = fmt.Sprintf("%.2f", pt.RelBaseline)
-		case "read":
-			merged = fmt.Sprintf("%.2f", pt.MergedReadUs)
-			owner = fmt.Sprintf("%.2f", pt.OwnerReadUs)
-		}
-		fmt.Fprintf(&b, "%-8s%-8d%14s%10s%14s%14s%8v\n",
-			pt.Phase, pt.Nodes, rate, rel, merged, owner, pt.EquivalentOK)
-	}
-	b.WriteString("note: every node ingests the full stream (rel is throughput against the first cell — the fan-out cost), while each maintains only its placement-hash slice of the queries; merged us is one router ResultsAll (concatenate + re-sort across nodes), owner us one placement-routed Results; equiv confirms the merged answers are identical to the first cell's, match for match.\n")
-	return b.String()
-}
-
-// JSON renders the report for BENCH_*.json files.
-func (r ClusterReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }

@@ -1,64 +1,15 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strings"
+	"strconv"
 	"time"
 
 	"ita"
 )
-
-// FailoverPoint is one cell of the warm-standby experiment. Three
-// phases are measured:
-//
-//   - "steady": the primary streams the workload while a live standby
-//     applies it; replication lag is sampled from the primary's ack
-//     ledger after every batch, and the drain time from the last write
-//     to a fully caught-up standby is timed.
-//   - "catchup": the standby is stopped, the primary runs ahead by the
-//     cell's epoch gap, and the rejoin is timed from OpenFollower to
-//     lag zero — through the resume negotiation or, past the retention
-//     window, the checkpoint-resync fallback (Resynced records which).
-//   - "promote": the primary is shut down and the standby promoted;
-//     the cell times Promote itself and the first read served by the
-//     new primary, and verifies that read against the old primary's
-//     final published results.
-type FailoverPoint struct {
-	Phase string `json:"phase"`
-	// Steady-state cells.
-	IngestPerSec float64 `json:"ingest_docs_per_sec,omitempty"`
-	LagSamples   int     `json:"lag_samples,omitempty"`
-	LagEpochsAvg float64 `json:"lag_epochs_avg"`
-	LagEpochsMax uint64  `json:"lag_epochs_max"`
-	DrainMs      float64 `json:"drain_ms,omitempty"`
-	// Catch-up cells.
-	BehindEpochs int     `json:"behind_epochs,omitempty"`
-	CatchupMs    float64 `json:"catchup_ms,omitempty"`
-	Resynced     bool    `json:"resynced,omitempty"`
-	// Promote cell.
-	PromoteMs   float64 `json:"promote_ms,omitempty"`
-	FirstReadMs float64 `json:"first_read_ms,omitempty"`
-	PromotedOK  bool    `json:"promoted_ok,omitempty"`
-}
-
-// FailoverReport is the outcome of the warm-standby experiment, with
-// the same hardware context as the other BENCH reports.
-type FailoverReport struct {
-	Queries    int             `json:"queries"`
-	QueryLen   int             `json:"query_len"`
-	K          int             `json:"k"`
-	Window     int             `json:"window"`
-	BatchSize  int             `json:"batch_size"`
-	Events     int             `json:"events"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Points     []FailoverPoint `json:"points"`
-}
 
 // Failover measures the warm-standby replication path end to end:
 // steady-state lag while the standby shadows a full ingest run,
@@ -66,23 +17,33 @@ type FailoverReport struct {
 // boundaries), and the promote-to-first-served-read latency of a
 // failover. One primary/standby pair lives through the whole
 // experiment, so the catch-up cells exercise rejoin against a primary
-// with real history, not a fresh directory.
-func Failover(p Profile, queries, queryLen, win, batch int, behind []int, events int, progress func(string)) (FailoverReport, error) {
+// with real history, not a fresh directory. Cells are labelled by
+// phase:
+//
+//   - "steady": the primary streams the workload while a live standby
+//     applies it; replication lag (epochs the standby has yet to
+//     acknowledge) is sampled from the primary's ack ledger after every
+//     batch, and the drain time from the last write to a fully
+//     caught-up standby is timed.
+//   - "catchup" (one per behind_epochs gap): the standby is stopped,
+//     the primary runs ahead by the gap, and the rejoin is timed from
+//     OpenFollower to lag zero — through the resume negotiation or,
+//     past the retention window, the checkpoint-resync fallback
+//     (resynced records which).
+//   - "promote": the primary is shut down and the standby promoted;
+//     the cell times Promote itself (stopping the replication client
+//     and flipping the engine writable) and the first read served by
+//     the new primary, and verifies that read against the old
+//     primary's final published results.
+func Failover(p Profile, queries, queryLen, win, batch int, behind []int, events int, progress func(string)) (Record, error) {
 	const dict = 2000
-	rep := FailoverReport{
-		Queries:    queries,
-		QueryLen:   queryLen,
-		K:          p.K,
-		Window:     win,
-		BatchSize:  batch,
-		Events:     events,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
+	rec := newRecord("failover", map[string]any{
+		"queries": queries, "query_len": queryLen, "k": p.K, "window": win, "batch_size": batch, "events": events,
+	})
 
 	tmp, err := os.MkdirTemp("", "ita-failover-*")
 	if err != nil {
-		return rep, err
+		return rec, err
 	}
 	defer os.RemoveAll(tmp)
 	pDir := filepath.Join(tmp, "primary")
@@ -91,16 +52,16 @@ func Failover(p Profile, queries, queryLen, win, batch int, behind []int, events
 	prim, err := ita.Open(pDir, ita.WithCountWindow(win), ita.WithBatchSize(batch),
 		ita.WithDurability(ita.DurabilityOff), ita.WithCheckpointEvery(64))
 	if err != nil {
-		return rep, err
+		return rec, err
 	}
 	defer prim.Close()
 	addr, err := prim.StartReplication("127.0.0.1:0")
 	if err != nil {
-		return rep, err
+		return rec, err
 	}
 	stand, err := ita.OpenFollower(fDir, addr.String(), ita.WithDurability(ita.DurabilityOff))
 	if err != nil {
-		return rep, err
+		return rec, err
 	}
 	defer func() { stand.Close() }()
 
@@ -124,7 +85,7 @@ func Failover(p Profile, queries, queryLen, win, batch int, behind []int, events
 	qrnd := rand.New(rand.NewSource(7777))
 	for i := 0; i < queries; i++ {
 		if _, err := prim.Register(readsText(qrnd, dict, queryLen), p.K); err != nil {
-			return rep, err
+			return rec, err
 		}
 	}
 
@@ -156,8 +117,8 @@ func Failover(p Profile, queries, queryLen, win, batch int, behind []int, events
 	if progress != nil {
 		progress(fmt.Sprintf("failover: steady state (%d queries, %d events)", queries, events))
 	}
-	pt := FailoverPoint{Phase: "steady"}
-	var lagSum uint64
+	var lagSum, lagMax uint64
+	samples := 0
 	rate, err := stream(events, func() {
 		fs := prim.ReplicationStats().Followers
 		if len(fs) == 0 {
@@ -165,27 +126,33 @@ func Failover(p Profile, queries, queryLen, win, batch int, behind []int, events
 		}
 		lag := fs[len(fs)-1].LagEpochs
 		lagSum += lag
-		if lag > pt.LagEpochsMax {
-			pt.LagEpochsMax = lag
-		}
-		pt.LagSamples++
+		lagMax = max(lagMax, lag)
+		samples++
 	})
 	if err != nil {
-		return rep, err
+		return rec, err
 	}
-	pt.IngestPerSec = rate
-	if pt.LagSamples > 0 {
-		pt.LagEpochsAvg = float64(lagSum) / float64(pt.LagSamples)
+	steady := Cell{
+		Labels: map[string]string{"phase": "steady"},
+		Metrics: map[string]float64{
+			"ingest_docs_per_sec": rate,
+			"lag_samples":         float64(samples),
+			"lag_epochs_avg":      0,
+			"lag_epochs_max":      float64(lagMax),
+		},
+	}
+	if samples > 0 {
+		steady.Metrics["lag_epochs_avg"] = float64(lagSum) / float64(samples)
 	}
 	if err := prim.Flush(); err != nil {
-		return rep, err
+		return rec, err
 	}
 	drain, err := waitCaughtUp("steady drain")
 	if err != nil {
-		return rep, err
+		return rec, err
 	}
-	pt.DrainMs = float64(drain.Nanoseconds()) / 1e6
-	rep.Points = append(rep.Points, pt)
+	steady.Metrics["drain_ms"] = float64(drain.Nanoseconds()) / 1e6
+	rec.Cells = append(rec.Cells, steady)
 
 	// Phase 2 — catch-up from N epochs behind. The standby closes, the
 	// primary keeps going, and the rejoin is timed end to end.
@@ -194,31 +161,32 @@ func Failover(p Profile, queries, queryLen, win, batch int, behind []int, events
 			progress(fmt.Sprintf("failover: catch-up from %d epochs behind", n))
 		}
 		if err := stand.Close(); err != nil {
-			return rep, err
+			return rec, err
 		}
 		for i := 0; i < n; i++ {
 			if _, err := stream(batch, nil); err != nil {
-				return rep, err
+				return rec, err
 			}
 			if err := prim.Flush(); err != nil {
-				return rep, err
+				return rec, err
 			}
 		}
 		t0 := time.Now()
 		stand, err = ita.OpenFollower(fDir, addr.String(), ita.WithDurability(ita.DurabilityOff))
 		if err != nil {
-			return rep, err
+			return rec, err
 		}
 		if _, err := waitCaughtUp(fmt.Sprintf("catch-up n=%d", n)); err != nil {
-			return rep, err
+			return rec, err
 		}
 		// The resync counter is per engine instance, so any non-zero
 		// value here belongs to this rejoin.
-		rep.Points = append(rep.Points, FailoverPoint{
-			Phase:        "catchup",
-			BehindEpochs: n,
-			CatchupMs:    float64(time.Since(t0).Nanoseconds()) / 1e6,
-			Resynced:     stand.ReplicationStats().Resyncs > 0,
+		rec.Cells = append(rec.Cells, Cell{
+			Labels: map[string]string{"phase": "catchup", "behind_epochs": strconv.Itoa(n)},
+			Metrics: map[string]float64{
+				"catchup_ms": float64(time.Since(t0).Nanoseconds()) / 1e6,
+				"resynced":   bit(stand.ReplicationStats().Resyncs > 0),
+			},
 		})
 	}
 
@@ -228,87 +196,63 @@ func Failover(p Profile, queries, queryLen, win, batch int, behind []int, events
 		progress("failover: promote standby")
 	}
 	if err := prim.Flush(); err != nil {
-		return rep, err
+		return rec, err
 	}
 	if _, err := waitCaughtUp("pre-promote"); err != nil {
-		return rep, err
+		return rec, err
 	}
 	want := prim.ResultsAll()
 	if err := prim.Close(); err != nil {
-		return rep, err
+		return rec, err
 	}
 	t0 := time.Now()
 	if err := stand.Promote(); err != nil {
-		return rep, fmt.Errorf("failover: promote: %w", err)
+		return rec, fmt.Errorf("failover: promote: %w", err)
 	}
 	promoted := time.Now()
 	got := stand.ResultsAll()
 	read := time.Now()
 
-	ppt := FailoverPoint{
-		Phase:       "promote",
-		PromoteMs:   float64(promoted.Sub(t0).Nanoseconds()) / 1e6,
-		FirstReadMs: float64(read.Sub(promoted).Nanoseconds()) / 1e6,
-		PromotedOK:  len(got) == len(want),
-	}
+	ok := len(got) == len(want)
 	for i := range got {
-		if !ppt.PromotedOK {
+		if !ok {
 			break
 		}
 		if got[i].Query != want[i].Query || len(got[i].Matches) != len(want[i].Matches) {
-			ppt.PromotedOK = false
+			ok = false
 		}
 		for j := range got[i].Matches {
 			if got[i].Matches[j] != want[i].Matches[j] {
-				ppt.PromotedOK = false
+				ok = false
 				break
 			}
 		}
 	}
 	// The promoted engine must also accept writes.
-	if ppt.PromotedOK {
+	if ok {
 		clock = clock.Add(time.Millisecond)
 		if _, err := stand.IngestText(readsText(rnd, dict, 12), clock); err != nil {
-			ppt.PromotedOK = false
+			ok = false
 		}
 	}
-	rep.Points = append(rep.Points, ppt)
-	if !ppt.PromotedOK {
-		return rep, fmt.Errorf("failover: promoted standby diverged from the primary's final results")
+	rec.Cells = append(rec.Cells, Cell{
+		Labels: map[string]string{"phase": "promote"},
+		Metrics: map[string]float64{
+			"promote_ms":    float64(promoted.Sub(t0).Nanoseconds()) / 1e6,
+			"first_read_ms": float64(read.Sub(promoted).Nanoseconds()) / 1e6,
+			"promoted_ok":   bit(ok),
+		},
+	})
+	if !ok {
+		return rec, fmt.Errorf("failover: promoted standby diverged from the primary's final results")
 	}
-	return rep, nil
+	return rec, nil
 }
 
-// Format renders the report as an aligned text table.
-func (r FailoverReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "failover — %d queries (n=%d, k=%d), window N=%d, B=%d, %d events, GOMAXPROCS=%d\n",
-		r.Queries, r.QueryLen, r.K, r.Window, r.BatchSize, r.Events, r.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-10s%-10s%12s%12s%12s%12s%12s%12s\n",
-		"phase", "behind", "lag avg", "lag max", "drain ms", "catchup ms", "promote ms", "read ms")
-	for _, pt := range r.Points {
-		behind, lavg, lmax, drain, catch, prom, read := "-", "-", "-", "-", "-", "-", "-"
-		switch pt.Phase {
-		case "steady":
-			lavg = fmt.Sprintf("%.2f", pt.LagEpochsAvg)
-			lmax = fmt.Sprintf("%d", pt.LagEpochsMax)
-			drain = fmt.Sprintf("%.2f", pt.DrainMs)
-		case "catchup":
-			behind = fmt.Sprintf("%d", pt.BehindEpochs)
-			if pt.Resynced {
-				behind += "*"
-			}
-			catch = fmt.Sprintf("%.2f", pt.CatchupMs)
-		case "promote":
-			prom = fmt.Sprintf("%.3f", pt.PromoteMs)
-			read = fmt.Sprintf("%.3f", pt.FirstReadMs)
-		}
-		fmt.Fprintf(&b, "%-10s%-10s%12s%12s%12s%12s%12s%12s\n",
-			pt.Phase, behind, lavg, lmax, drain, catch, prom, read)
+// bit records a boolean outcome as a 0/1 metric.
+func bit(b bool) float64 {
+	if b {
+		return 1
 	}
-	b.WriteString("note: lag is sampled from the primary's ack ledger after every ingest batch (epochs the standby has yet to acknowledge); behind* means the rejoin fell past the WAL retention window and resynced from a shipped checkpoint; promote ms covers stopping the replication client and flipping the engine writable, read ms the first ResultsAll served afterwards.\n")
-	return b.String()
+	return 0
 }
-
-// JSON renders the report for BENCH_*.json files.
-func (r FailoverReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }

@@ -1,8 +1,9 @@
 // Package harness runs the paper's experiments: it builds calibrated
 // corpora, query workloads and Poisson streams, drives each engine
 // through warm-up and a measured steady state, and renders the
-// figure/table data the paper reports (DESIGN.md §5: E0–E4 plus
-// ablations A1–A4).
+// figure/table data the paper reports (E0–E4 plus ablations A1–A4).
+// It also runs the repository's BENCH experiments, each of which
+// returns one Record (record.go), the format of every BENCH_*.json.
 package harness
 
 import (
@@ -153,6 +154,10 @@ func Run(b EngineBuilder, spec Spec) (Measurement, error) {
 		}
 	}
 	gapMs := 1000.0 / spec.Rate
+	// Stats describe only the measured steady-state events, not warm-up
+	// or registration.
+	delta := *eng.Stats()
+	delta.Sub(&statsBefore)
 	m := Measurement{
 		Events:    sum.N(),
 		MeanMs:    sum.Mean(),
@@ -161,32 +166,12 @@ func Run(b EngineBuilder, spec Spec) (Measurement, error) {
 		P99Ms:     sum.Percentile(99),
 		MaxMs:     sum.Max(),
 		Wall:      time.Since(measureStart),
-		Stats:     statsDelta(statsBefore, *eng.Stats()),
+		Stats:     delta,
 		Truncated: truncated,
 		RealTime:  sum.Mean() / gapMs,
 	}
 	m.QueueMeanMs, m.QueueP95Ms, m.QueueMaxMs = simulateQueue(arrivalsMs, services)
 	return m, nil
-}
-
-// statsDelta subtracts the pre-measurement counters so Measurement.Stats
-// describes only the measured steady-state events, not warm-up or
-// registration.
-func statsDelta(before, after core.Stats) core.Stats {
-	return core.Stats{
-		Arrivals:          after.Arrivals - before.Arrivals,
-		Expirations:       after.Expirations - before.Expirations,
-		ProbeHits:         after.ProbeHits - before.ProbeHits,
-		SearchReads:       after.SearchReads - before.SearchReads,
-		RollupSteps:       after.RollupSteps - before.RollupSteps,
-		RollupDrops:       after.RollupDrops - before.RollupDrops,
-		Refills:           after.Refills - before.Refills,
-		TreeUpdates:       after.TreeUpdates - before.TreeUpdates,
-		IndexInserts:      after.IndexInserts - before.IndexInserts,
-		IndexDeletes:      after.IndexDeletes - before.IndexDeletes,
-		ScoreComputations: after.ScoreComputations - before.ScoreComputations,
-		Rescans:           after.Rescans - before.Rescans,
-	}
 }
 
 // simulateQueue replays measured service times through a single-server

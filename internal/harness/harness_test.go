@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -197,37 +199,119 @@ func TestQuickProfileFiguresRun(t *testing.T) {
 }
 
 // TestReadWriteSmoke runs a tiny mixed read/write cell pair and sanity
-// checks the report shape: both modes measured, reads recorded, and the
-// latency distribution populated.
+// checks the record's shape: both modes measured, reads recorded, and
+// the latency distribution populated.
 func TestReadWriteSmoke(t *testing.T) {
-	rep, err := ReadWrite(QuickProfile(), 50, 4, 100, 16, []int{2}, 60*time.Millisecond, nil)
+	rec, err := ReadWrite(QuickProfile(), 50, 4, 100, 16, []int{2}, 60*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want locked+published", len(rep.Points))
+	if len(rec.Cells) != 2 {
+		t.Fatalf("cells = %d, want locked+published", len(rec.Cells))
 	}
-	for _, pt := range rep.Points {
-		if pt.Reads <= 0 || pt.ReadsPerSec <= 0 {
-			t.Fatalf("%s: no reads measured: %+v", pt.Mode, pt)
+	for _, c := range rec.Cells {
+		m := c.Metrics
+		if m["reads"] <= 0 || m["reads_per_sec"] <= 0 {
+			t.Fatalf("%v: no reads measured: %v", c.Labels, m)
 		}
-		if pt.WriteEvents <= 0 {
-			t.Fatalf("%s: no writes measured: %+v", pt.Mode, pt)
+		if m["write_events"] <= 0 {
+			t.Fatalf("%v: no writes measured: %v", c.Labels, m)
 		}
-		if pt.MaxReadUs < pt.P50ReadUs {
-			t.Fatalf("%s: latency distribution inverted: %+v", pt.Mode, pt)
+		if m["max_read_us"] < m["p50_read_us"] {
+			t.Fatalf("%v: latency distribution inverted: %v", c.Labels, m)
 		}
 	}
-	if rep.Points[0].Mode != "locked" || rep.Points[1].Mode != "published" {
-		t.Fatalf("mode order: %s, %s", rep.Points[0].Mode, rep.Points[1].Mode)
+	if rec.Cells[0].Labels["mode"] != "locked" || rec.Cells[1].Labels["mode"] != "published" {
+		t.Fatalf("mode order: %v, %v", rec.Cells[0].Labels, rec.Cells[1].Labels)
 	}
-	if rep.Points[1].SpeedupVsLocked <= 0 {
-		t.Fatalf("speedup not computed: %+v", rep.Points[1])
+	if rec.Cells[1].Metrics["speedup_vs_locked"] <= 0 {
+		t.Fatalf("speedup not computed: %v", rec.Cells[1].Metrics)
 	}
-	if _, err := rep.JSON(); err != nil {
+}
+
+// TestBenchRecordsRoundTrip runs every BENCH experiment at a tiny size
+// and checks that what it emits is a valid record that survives the
+// JSON round trip a BENCH_*.json file takes, and that every sharding
+// sweep builds each distinct shard count once, with one shard first.
+func TestBenchRecordsRoundTrip(t *testing.T) {
+	p := tinyProfile()
+	p.MaxMeasure = time.Second
+	run := map[string]func() (Record, error){
+		"throughput": func() (Record, error) { return Throughput(p, 20, 4, 50, []int{1, 2, 2}, 20, nil) },
+		"batch":      func() (Record, error) { return BatchSweep(p, 20, 4, 50, []int{1, 8}, []int{2, 1}, 24, nil) },
+		"reads": func() (Record, error) {
+			return ReadWrite(p, 20, 4, 50, 8, []int{1}, 20*time.Millisecond, nil)
+		},
+		"recovery": func() (Record, error) { return Recovery(p, 20, 4, 50, 8, []int{0, 2}, 48, nil) },
+		"scale":    func() (Record, error) { return Scale(p, []int{20, 40}, 4, 50, 20, "test", nil, nil) },
+		"window":   func() (Record, error) { return WindowSweep(p, []int{50, 100}, 4, nil) },
+		"failover": func() (Record, error) { return Failover(p, 20, 4, 50, 8, []int{1, 2}, 48, nil) },
+		"cluster":  func() (Record, error) { return Cluster(p, 20, 4, 50, 8, []int{1, 2}, 48, nil) },
+	}
+	for name, f := range run {
+		t.Run(name, func(t *testing.T) {
+			rec, err := f()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Experiment != name {
+				t.Fatalf("experiment %q, want %q", rec.Experiment, name)
+			}
+			data, err := rec.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Record
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatal(err)
+			}
+			if err := back.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(back.Format(), name+" — ") {
+				t.Fatalf("Format header:\n%s", back.Format())
+			}
+			if name == "throughput" || name == "batch" {
+				var shards []string
+				for _, c := range back.Cells {
+					if len(shards) == 0 || shards[len(shards)-1] != c.Labels["shards"] {
+						shards = append(shards, c.Labels["shards"])
+					}
+				}
+				if strings.Join(shards, ",") != "1,2" {
+					t.Fatalf("shard sweep %v, want each distinct count once: 1,2", shards)
+				}
+			}
+		})
+	}
+}
+
+func TestRecordValidateRejects(t *testing.T) {
+	good := func() Record {
+		r := newRecord("x", nil)
+		r.Cells = []Cell{
+			{Labels: map[string]string{"n": "1"}, Metrics: map[string]float64{"v": 1}},
+			{Labels: map[string]string{"n": "2"}, Metrics: map[string]float64{"v": 2}},
+		}
+		return r
+	}
+	if err := good().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Format() == "" {
-		t.Fatal("empty Format")
+	for name, spoil := range map[string]func(*Record){
+		"no env":         func(r *Record) { r.Env = Env{} },
+		"no cells":       func(r *Record) { r.Cells = nil },
+		"duplicate cell": func(r *Record) { r.Cells[1].Labels["n"] = "1" },
+		"NaN metric":     func(r *Record) { r.Cells[0].Metrics["v"] = math.NaN() },
+		"infinite summary": func(r *Record) {
+			r.Summary = map[string]float64{"s": math.Inf(1)}
+		},
+		"bad baseline": func(r *Record) { r.Baseline = &Record{Schema: Schema, Experiment: "x"} },
+	} {
+		r := good()
+		spoil(&r)
+		if r.Validate() == nil {
+			t.Errorf("%s: Validate accepted %+v", name, r)
+		}
 	}
 }

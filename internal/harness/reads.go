@@ -1,11 +1,10 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,52 +12,6 @@ import (
 
 	"ita"
 )
-
-// ReadPoint is one (mode, reader-count) cell of the mixed read/write
-// experiment.
-type ReadPoint struct {
-	// Mode is "published" (the wait-free read path: Results loads the
-	// published epoch view, never the engine lock) or "locked" (the
-	// pre-published-view architecture, emulated by serializing every
-	// read and write on one mutex — exactly what serving off the ingest
-	// lock costs).
-	Mode        string  `json:"mode"`
-	Readers     int     `json:"readers"`
-	Reads       int     `json:"reads"`
-	ReadsPerSec float64 `json:"reads_per_sec"`
-	MeanReadUs  float64 `json:"mean_read_us"`
-	// Read latency distribution. The tail is where the architectures
-	// separate even on one core: a locked reader queues behind whole
-	// epoch ingests (milliseconds), a published reader never blocks.
-	P50ReadUs    float64 `json:"p50_read_us"`
-	P99ReadUs    float64 `json:"p99_read_us"`
-	MaxReadUs    float64 `json:"max_read_us"`
-	WriteEvents  int     `json:"write_events"`
-	WritesPerSec float64 `json:"writes_per_sec"`
-	// SpeedupVsLocked is this cell's reads/sec over the locked cell at
-	// the same reader count (on the published rows; 1 on locked rows).
-	SpeedupVsLocked float64 `json:"speedup_vs_locked"`
-}
-
-// ReadsReport is the outcome of the mixed read/write experiment: R
-// concurrent reader goroutines hammer Results while one writer streams
-// epochs, for the wait-free published read path versus the locked
-// baseline. Hardware context is recorded as usual; note that even at
-// GOMAXPROCS=1 the published path wins decisively, because a locked
-// reader queues behind entire epoch ingests (milliseconds) while a
-// published reader never waits at all.
-type ReadsReport struct {
-	Queries    int         `json:"queries"`
-	QueryLen   int         `json:"query_len"`
-	K          int         `json:"k"`
-	Window     int         `json:"window"`
-	BatchSize  int         `json:"batch_size"`
-	DictSize   int         `json:"dict_size"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	NumCPU     int         `json:"num_cpu"`
-	CellMs     float64     `json:"cell_ms"` // measured wall time per cell
-	Points     []ReadPoint `json:"points"`
-}
 
 // readsText builds deterministic synthetic texts: uniform draws over a
 // compact vocabulary, wide enough that top-k sets are contested but
@@ -80,29 +33,27 @@ func readsText(rnd *rand.Rand, dict, words int) string {
 // drives IngestBatch epochs of `batch` documents, for `dur` of wall
 // time. Reads on the published path are wait-free; the locked baseline
 // serializes reads and writes on a single mutex, reproducing the
-// pre-published-view facade.
-func ReadWrite(p Profile, queries, queryLen, win, batch int, readerCounts []int, dur time.Duration, progress func(string)) (ReadsReport, error) {
+// pre-published-view facade. Even at GOMAXPROCS=1 the published path
+// wins on the latency tail: a locked reader queues behind entire epoch
+// ingests (milliseconds) while a published reader never waits.
+func ReadWrite(p Profile, queries, queryLen, win, batch int, readerCounts []int, dur time.Duration, progress func(string)) (Record, error) {
 	const dict = 2000
-	rep := ReadsReport{
-		Queries:    queries,
-		QueryLen:   queryLen,
-		K:          p.K,
-		Window:     win,
-		BatchSize:  batch,
-		DictSize:   dict,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		CellMs:     float64(dur.Nanoseconds()) / 1e6,
-	}
+	rec := newRecord("reads", map[string]any{
+		"queries": queries, "query_len": queryLen, "k": p.K, "window": win, "batch_size": batch,
+		"dict_size": dict, "cell_ms": float64(dur.Nanoseconds()) / 1e6,
+	})
 
-	runCell := func(mode string, readers int) (ReadPoint, error) {
-		pt := ReadPoint{Mode: mode, Readers: readers}
+	// runCell measures one mode: "published" (the wait-free read path:
+	// Results loads the published epoch view, never the engine lock) or
+	// "locked" (the pre-published-view architecture, emulated by
+	// serializing every read and write on one mutex).
+	runCell := func(mode string, readers int) (Cell, error) {
 		if progress != nil {
 			progress(fmt.Sprintf("reads: %s R=%d (%d queries)", mode, readers, queries))
 		}
 		eng, err := ita.New(ita.WithCountWindow(win), ita.WithBatchSize(batch))
 		if err != nil {
-			return pt, err
+			return Cell{}, err
 		}
 		defer eng.Close()
 
@@ -119,14 +70,14 @@ func ReadWrite(p Profile, queries, queryLen, win, batch int, readerCounts []int,
 			warm[i] = ita.TimedText{Text: readsText(rnd, dict, 12), At: clock}
 		}
 		if _, err := eng.IngestBatch(warm); err != nil {
-			return pt, err
+			return Cell{}, err
 		}
 		qids := make([]ita.QueryID, queries)
 		qrnd := rand.New(rand.NewSource(7777))
 		for i := range qids {
 			id, err := eng.Register(readsText(qrnd, dict, queryLen), p.K)
 			if err != nil {
-				return pt, err
+				return Cell{}, err
 			}
 			qids[i] = id
 		}
@@ -198,67 +149,60 @@ func ReadWrite(p Profile, queries, queryLen, win, batch int, readerCounts []int,
 		wg.Wait()
 		wall := time.Since(start)
 
+		total := 0
 		for _, n := range reads {
-			pt.Reads += int(n)
+			total += int(n)
 		}
-		pt.WriteEvents = int(writeEvents.Load())
-		pt.ReadsPerSec = float64(pt.Reads) / wall.Seconds()
-		pt.WritesPerSec = float64(pt.WriteEvents) / wall.Seconds()
-		if pt.Reads > 0 {
+		writes := int(writeEvents.Load())
+		c := Cell{
+			Labels: map[string]string{"mode": mode, "readers": strconv.Itoa(readers)},
+			Metrics: map[string]float64{
+				"reads":          float64(total),
+				"reads_per_sec":  float64(total) / wall.Seconds(),
+				"write_events":   float64(writes),
+				"writes_per_sec": float64(writes) / wall.Seconds(),
+				"mean_read_us":   0,
+				"p50_read_us":    0,
+				"p99_read_us":    0,
+				"max_read_us":    0,
+			},
+		}
+		if total > 0 {
 			// Mean wall time per read across all reader goroutines.
-			pt.MeanReadUs = wall.Seconds() * float64(readers) / float64(pt.Reads) * 1e6
+			c.Metrics["mean_read_us"] = wall.Seconds() * float64(readers) / float64(total) * 1e6
 		}
 		var all []int64
 		for _, s := range lats {
 			all = append(all, s...)
 		}
 		if len(all) > 0 {
+			// The tail is where the architectures separate even on one
+			// core: a locked reader queues behind whole epoch ingests.
 			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			pt.P50ReadUs = float64(all[len(all)/2]) / 1e3
-			pt.P99ReadUs = float64(all[len(all)*99/100]) / 1e3
-			pt.MaxReadUs = float64(all[len(all)-1]) / 1e3
+			c.Metrics["p50_read_us"] = float64(all[len(all)/2]) / 1e3
+			c.Metrics["p99_read_us"] = float64(all[len(all)*99/100]) / 1e3
+			c.Metrics["max_read_us"] = float64(all[len(all)-1]) / 1e3
 		}
-		return pt, nil
+		return c, nil
 	}
 
+	// speedup_vs_locked is the published cell's reads/sec over the
+	// locked cell's at the same reader count (1 on the locked cells).
 	for _, readers := range readerCounts {
-		lockedPt, err := runCell("locked", readers)
+		locked, err := runCell("locked", readers)
 		if err != nil {
-			return rep, err
+			return rec, err
 		}
-		lockedPt.SpeedupVsLocked = 1
-		pubPt, err := runCell("published", readers)
+		locked.Metrics["speedup_vs_locked"] = 1
+		pub, err := runCell("published", readers)
 		if err != nil {
-			return rep, err
+			return rec, err
 		}
-		if lockedPt.ReadsPerSec > 0 {
-			pubPt.SpeedupVsLocked = pubPt.ReadsPerSec / lockedPt.ReadsPerSec
+		pub.Metrics["speedup_vs_locked"] = 0
+		if r := locked.Metrics["reads_per_sec"]; r > 0 {
+			pub.Metrics["speedup_vs_locked"] = pub.Metrics["reads_per_sec"] / r
 		}
-		rep.Points = append(rep.Points, lockedPt, pubPt)
+		rec.Cells = append(rec.Cells, locked, pub)
 	}
-	return rep, nil
+	return rec, nil
 }
-
-// Format renders the report as an aligned text table.
-func (r ReadsReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "mixed read/write — %d queries (n=%d, k=%d), window N=%d, B=%d, GOMAXPROCS=%d\n",
-		r.Queries, r.QueryLen, r.K, r.Window, r.BatchSize, r.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-11s%9s%14s%12s%12s%12s%14s%12s\n",
-		"mode", "readers", "reads/sec", "p50 µs", "p99 µs", "max µs", "writes/sec", "vs locked")
-	for _, pt := range r.Points {
-		speedup := "-"
-		if pt.SpeedupVsLocked > 0 {
-			speedup = fmt.Sprintf("%.2fx", pt.SpeedupVsLocked)
-		}
-		fmt.Fprintf(&b, "%-11s%9d%14.0f%12.2f%12.1f%12.0f%14.0f%12s\n",
-			pt.Mode, pt.Readers, pt.ReadsPerSec, pt.P50ReadUs, pt.P99ReadUs, pt.MaxReadUs, pt.WritesPerSec, speedup)
-	}
-	if r.GOMAXPROCS == 1 {
-		fmt.Fprintf(&b, "note: GOMAXPROCS=1 — aggregate reads/sec is CPU-bound, so compare the latency tail: a locked reader queues behind whole epoch ingests (p99/max in the milliseconds), a published reader never blocks. The reads/sec gap additionally widens with real cores.\n")
-	}
-	return b.String()
-}
-
-// JSON renders the report for BENCH_*.json files.
-func (r ReadsReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }

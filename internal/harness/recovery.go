@@ -1,76 +1,34 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strings"
+	"strconv"
 	"time"
 
 	"ita"
 	"ita/internal/wal"
 )
 
-// RecoveryPoint is one cell of the durability experiment: either a WAL
-// overhead measurement (Phase "overhead": ingest throughput under a
-// given fsync policy, no checkpoints) or a recovery measurement (Phase
-// "recovery": crash after a run with the given checkpoint interval and
-// time the reopen).
-type RecoveryPoint struct {
-	Phase      string `json:"phase"`
-	Durability string `json:"durability"` // memory = no WAL at all
-	// CheckpointEvery is the boundary interval between automatic
-	// checkpoints; 0 = never (recovery replays the whole log).
-	CheckpointEvery int     `json:"checkpoint_every,omitempty"`
-	IngestPerSec    float64 `json:"ingest_docs_per_sec"`
-	// SlowdownVsMemory is the in-memory engine's ingest throughput over
-	// this cell's (1.0 on the memory row).
-	SlowdownVsMemory float64 `json:"slowdown_vs_memory"`
-	// Recovery cells: what the crash left behind and what reopening cost.
-	WALBytes        int64   `json:"wal_bytes,omitempty"`
-	TailRecords     int     `json:"tail_records,omitempty"`
-	CheckpointBytes int64   `json:"checkpoint_bytes,omitempty"`
-	RecoverMs       float64 `json:"recover_ms,omitempty"`
-	RecoveredOK     bool    `json:"recovered_ok,omitempty"`
-}
-
-// RecoveryReport is the outcome of the durability experiment: WAL write
-// overhead by fsync policy, and recovery time as a function of the
-// checkpoint interval. Hardware context is recorded as in the other
-// BENCH reports.
-type RecoveryReport struct {
-	Queries    int             `json:"queries"`
-	QueryLen   int             `json:"query_len"`
-	K          int             `json:"k"`
-	Window     int             `json:"window"`
-	BatchSize  int             `json:"batch_size"`
-	Events     int             `json:"events"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Points     []RecoveryPoint `json:"points"`
-}
-
 // Recovery measures (a) the ingest cost of write-ahead logging at every
 // fsync policy against the in-memory engine, and (b) crash-recovery
 // time as a function of the checkpoint interval: for each interval the
 // same stream runs durably, the engine is dropped without warning, and
 // Open is timed cold. Every recovered engine is sanity-checked against
-// the crashed one's published results.
-func Recovery(p Profile, queries, queryLen, win, batch int, intervals []int, events int, progress func(string)) (RecoveryReport, error) {
+// the crashed one's published results, match for match.
+//
+// Every cell is labelled with its phase ("overhead" or "recovery") and
+// durability mode ("memory" is no WAL at all); recovery cells also with
+// checkpoint_every, the boundary interval between automatic checkpoints
+// (0 = never: recovery replays the whole log). slowdown_vs_memory is
+// the in-memory engine's ingest rate over the cell's.
+func Recovery(p Profile, queries, queryLen, win, batch int, intervals []int, events int, progress func(string)) (Record, error) {
 	const dict = 2000
-	rep := RecoveryReport{
-		Queries:    queries,
-		QueryLen:   queryLen,
-		K:          p.K,
-		Window:     win,
-		BatchSize:  batch,
-		Events:     events,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
+	rec := newRecord("recovery", map[string]any{
+		"queries": queries, "query_len": queryLen, "k": p.K, "window": win, "batch_size": batch, "events": events,
+	})
 
 	// run drives the standard workload (register queries, stream epochs)
 	// against a fresh engine and returns ingest throughput.
@@ -101,7 +59,7 @@ func Recovery(p Profile, queries, queryLen, win, batch int, intervals []int, eve
 
 	tmp, err := os.MkdirTemp("", "ita-recovery-*")
 	if err != nil {
-		return rep, err
+		return rec, err
 	}
 	defer os.RemoveAll(tmp)
 
@@ -125,23 +83,22 @@ func Recovery(p Profile, queries, queryLen, win, batch int, intervals []int, eve
 				ita.WithDurability(m.d), ita.WithCheckpointEvery(0))
 		}
 		if err != nil {
-			return rep, err
+			return rec, err
 		}
 		rate, err := run(eng)
 		if cerr := eng.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			return rep, err
+			return rec, err
 		}
 		if i == 0 {
 			memRate = rate
 		}
-		pt := RecoveryPoint{Phase: "overhead", Durability: m.name, IngestPerSec: rate, SlowdownVsMemory: 1}
-		if rate > 0 {
-			pt.SlowdownVsMemory = memRate / rate
-		}
-		rep.Points = append(rep.Points, pt)
+		rec.Cells = append(rec.Cells, Cell{
+			Labels:  map[string]string{"phase": "overhead", "durability": m.name},
+			Metrics: map[string]float64{"ingest_docs_per_sec": rate, "slowdown_vs_memory": slowdown(memRate, rate)},
+		})
 	}
 
 	// Phase 2 — recovery time vs checkpoint interval, at the default
@@ -154,11 +111,11 @@ func Recovery(p Profile, queries, queryLen, win, batch int, intervals []int, eve
 		eng, err := ita.Open(dir, ita.WithCountWindow(win), ita.WithBatchSize(batch),
 			ita.WithDurability(ita.DurabilityEpochSync), ita.WithCheckpointEvery(every))
 		if err != nil {
-			return rep, err
+			return rec, err
 		}
 		rate, err := run(eng)
 		if err != nil {
-			return rep, err
+			return rec, err
 		}
 		preQueries, preWindow := eng.Queries(), eng.WindowLen()
 		preResults := eng.ResultsAll()
@@ -166,93 +123,76 @@ func Recovery(p Profile, queries, queryLen, win, batch int, intervals []int, eve
 		// checkpoint); the single-shard engine holds no goroutines.
 		eng = nil
 
-		pt := RecoveryPoint{Phase: "recovery", Durability: "epoch", CheckpointEvery: every,
-			IngestPerSec: rate, SlowdownVsMemory: 1}
-		if rate > 0 {
-			pt.SlowdownVsMemory = memRate / rate
-		}
+		var walBytes, ckptBytes int64
+		tailRecords := 0
 		st, err := wal.ScanDir(dir)
 		if err != nil {
-			return rep, err
+			return rec, err
 		}
 		for _, seq := range st.Segments {
 			if fi, err := os.Stat(wal.SegmentPath(dir, seq)); err == nil {
-				pt.WALBytes += fi.Size()
+				walBytes += fi.Size()
 			}
 			if res, err := wal.ScanFile(wal.SegmentPath(dir, seq)); err == nil {
-				pt.TailRecords += len(res.Records)
+				tailRecords += len(res.Records)
 			}
 		}
 		if latest, ok := st.Latest(); ok {
 			if fi, err := os.Stat(wal.CheckpointPath(dir, latest)); err == nil {
-				pt.CheckpointBytes = fi.Size()
+				ckptBytes = fi.Size()
 			}
 		}
 
 		t0 := time.Now()
-		rec, err := ita.Open(dir)
+		reopened, err := ita.Open(dir)
 		if err != nil {
-			return rep, fmt.Errorf("recovery (every=%d): %w", every, err)
+			return rec, fmt.Errorf("recovery (every=%d): %w", every, err)
 		}
-		pt.RecoverMs = float64(time.Since(t0).Nanoseconds()) / 1e6
-		recResults := rec.ResultsAll()
-		pt.RecoveredOK = rec.Queries() == preQueries && rec.WindowLen() == preWindow &&
+		recoverMs := float64(time.Since(t0).Nanoseconds()) / 1e6
+		recResults := reopened.ResultsAll()
+		ok := reopened.Queries() == preQueries && reopened.WindowLen() == preWindow &&
 			len(recResults) == len(preResults)
 		for i := range recResults {
-			if !pt.RecoveredOK {
+			if !ok {
 				break
 			}
 			if recResults[i].Query != preResults[i].Query ||
 				len(recResults[i].Matches) != len(preResults[i].Matches) {
-				pt.RecoveredOK = false
+				ok = false
 			}
 			for j := range recResults[i].Matches {
 				if recResults[i].Matches[j] != preResults[i].Matches[j] {
-					pt.RecoveredOK = false
+					ok = false
 					break
 				}
 			}
 		}
-		if cerr := rec.Close(); cerr != nil {
-			return rep, cerr
+		if cerr := reopened.Close(); cerr != nil {
+			return rec, cerr
 		}
-		if !pt.RecoveredOK {
-			return rep, fmt.Errorf("recovery (every=%d): recovered state diverged from crashed engine", every)
+		if !ok {
+			return rec, fmt.Errorf("recovery (every=%d): recovered state diverged from crashed engine", every)
 		}
-		rep.Points = append(rep.Points, pt)
+		rec.Cells = append(rec.Cells, Cell{
+			Labels: map[string]string{"phase": "recovery", "durability": "epoch", "checkpoint_every": strconv.Itoa(every)},
+			Metrics: map[string]float64{
+				"ingest_docs_per_sec": rate,
+				"slowdown_vs_memory":  slowdown(memRate, rate),
+				"wal_bytes":           float64(walBytes),
+				"tail_records":        float64(tailRecords),
+				"checkpoint_bytes":    float64(ckptBytes),
+				"recover_ms":          recoverMs,
+				"recovered_ok":        1,
+			},
+		})
 	}
-	return rep, nil
+	return rec, nil
 }
 
-// Format renders the report as an aligned text table.
-func (r RecoveryReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "durability — %d queries (n=%d, k=%d), window N=%d, B=%d, %d events, GOMAXPROCS=%d\n",
-		r.Queries, r.QueryLen, r.K, r.Window, r.BatchSize, r.Events, r.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-10s%-10s%10s%14s%12s%12s%10s%12s%12s\n",
-		"phase", "mode", "ckpt", "ingest/sec", "vs memory", "wal bytes", "records", "ckpt bytes", "recover ms")
-	for _, pt := range r.Points {
-		ck := "-"
-		if pt.Phase == "recovery" {
-			if pt.CheckpointEvery == 0 {
-				ck = "never"
-			} else {
-				ck = fmt.Sprintf("%d", pt.CheckpointEvery)
-			}
-		}
-		wb, recs, cb, rm := "-", "-", "-", "-"
-		if pt.Phase == "recovery" {
-			wb = fmt.Sprintf("%d", pt.WALBytes)
-			recs = fmt.Sprintf("%d", pt.TailRecords)
-			cb = fmt.Sprintf("%d", pt.CheckpointBytes)
-			rm = fmt.Sprintf("%.1f", pt.RecoverMs)
-		}
-		fmt.Fprintf(&b, "%-10s%-10s%10s%14.0f%11.2fx%12s%10s%12s%12s\n",
-			pt.Phase, pt.Durability, ck, pt.IngestPerSec, pt.SlowdownVsMemory, wb, recs, cb, rm)
+// slowdown is the in-memory ingest rate over rate (1 when rate is 0).
+func slowdown(memRate, rate float64) float64 {
+	if rate > 0 {
+		return memRate / rate
 	}
-	b.WriteString("note: slowdown is the in-memory engine's ingest rate over the cell's; recovery rows crash without Close and time a cold Open (checkpoint restore + log tail replay), verifying the recovered results byte-for-byte.\n")
-	return b.String()
+	return 1
 }
-
-// JSON renders the report for BENCH_*.json files.
-func (r RecoveryReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }

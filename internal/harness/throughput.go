@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
-	"strings"
+	"slices"
+	"strconv"
 	"time"
 
-	"ita/internal/core"
 	"ita/internal/corpus"
 	"ita/internal/model"
 	"ita/internal/shard"
@@ -16,136 +14,103 @@ import (
 	"ita/internal/window"
 )
 
-// ThroughputPoint is one engine configuration of the multi-query
-// throughput experiment.
-type ThroughputPoint struct {
-	Config       string  `json:"config"` // "single" or "sharded-N"
-	Shards       int     `json:"shards"` // 0 for the "single" baseline cell
-	Events       int     `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	MeanMs       float64 `json:"mean_ms"`
-	WallMs       float64 `json:"wall_ms"`
-	// SpeedupVsSingle is this configuration's events/sec over the
-	// "single" cell's.
-	SpeedupVsSingle float64 `json:"speedup_vs_single"`
-}
-
-// ThroughputReport is the outcome of the sharding throughput experiment:
-// steady-state events/sec of the one-shard ITA engine ("single") versus
-// several shard counts, on a many-query workload. Hardware context is
-// recorded because the win of more shards is parallelism:
-// with GOMAXPROCS=1 the fan-out can only add overhead, and the report
-// says so rather than hiding it.
-type ThroughputReport struct {
-	Queries    int               `json:"queries"`
-	QueryLen   int               `json:"query_len"`
-	K          int               `json:"k"`
-	Window     int               `json:"window"`
-	DictSize   int               `json:"dict_size"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	NumCPU     int               `json:"num_cpu"`
-	Points     []ThroughputPoint `json:"points"`
-}
-
 // Throughput measures steady-state event throughput (arrival +
 // expiration + all query maintenance) on a workload of `queries`
-// standing queries over a count window of `win` documents: first the
-// one-shard engine ("single"), then every count in shardCounts. Events
-// are fed one at a time through Process.
-func Throughput(p Profile, queries, queryLen, win int, shardCounts []int, events int, progress func(string)) (ThroughputReport, error) {
+// standing queries over a count window of `win` documents, once per
+// distinct shard count: the one-shard baseline cell first, then every
+// other count in shardCounts. Events are fed one at a time through
+// Process. The record carries the hardware context because the win of
+// more shards is parallelism: with GOMAXPROCS=1 the fan-out can only
+// add overhead.
+func Throughput(p Profile, queries, queryLen, win int, shardCounts []int, events int, progress func(string)) (Record, error) {
 	cfg := p.corpusCfg()
-	rep := ThroughputReport{
-		Queries:    queries,
-		QueryLen:   queryLen,
-		K:          p.K,
-		Window:     win,
-		DictSize:   cfg.DictSize,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-
-	run := func(name string, shards int, eng core.Engine) error {
-		if progress != nil {
-			progress(fmt.Sprintf("throughput: %s (%d queries)", name, queries))
-		}
-		qSynth, err := corpus.NewSynth(withSeed(cfg, 7777), vsm.Cosine{})
-		if err != nil {
-			return err
-		}
-		dSynth, err := corpus.NewSynth(cfg, vsm.Cosine{})
-		if err != nil {
-			return err
-		}
-		str := stream.New(dSynth.Document, p.Rate, cfg.Seed+1, time.Unix(0, 0))
-		for i := 0; i < win; i++ {
-			if err := eng.Process(str.Next()); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < queries; i++ {
-			if err := eng.Register(qSynth.Query(model.QueryID(i+1), p.K, queryLen)); err != nil {
-				return err
-			}
-		}
-		done := 0
-		start := time.Now()
-		for done < events {
-			if err := eng.Process(str.Next()); err != nil {
-				return err
-			}
-			done++
-			if p.MaxMeasure > 0 && time.Since(start) > p.MaxMeasure {
-				break
-			}
-		}
-		wall := time.Since(start)
-		pt := ThroughputPoint{
-			Config: name,
-			Shards: shards,
-			Events: done,
-			MeanMs: float64(wall.Nanoseconds()) / 1e6 / float64(done),
-			WallMs: float64(wall.Nanoseconds()) / 1e6,
-		}
-		pt.EventsPerSec = float64(done) / wall.Seconds()
-		if len(rep.Points) > 0 && rep.Points[0].EventsPerSec > 0 {
-			pt.SpeedupVsSingle = pt.EventsPerSec / rep.Points[0].EventsPerSec
-		} else {
-			pt.SpeedupVsSingle = 1
-		}
-		rep.Points = append(rep.Points, pt)
-		return nil
-	}
-
+	rec := newRecord("throughput", map[string]any{
+		"queries": queries, "query_len": queryLen, "k": p.K, "window": win, "dict_size": cfg.DictSize,
+	})
 	pol := window.Count{N: win}
-	if err := run("single", 0, shard.New(pol, 1)); err != nil {
-		return rep, err
-	}
-	for _, s := range shardCounts {
+	for _, s := range distinctShards(pol, shardCounts) {
+		if progress != nil {
+			progress(fmt.Sprintf("throughput: %d shard(s) (%d queries)", s, queries))
+		}
 		eng := shard.New(pol, s)
-		err := run(fmt.Sprintf("sharded-%d", eng.Shards()), eng.Shards(), eng)
+		c, err := throughputCell(p, cfg, eng, queries, queryLen, win, events)
 		eng.Close()
 		if err != nil {
-			return rep, err
+			return rec, err
+		}
+		c.Labels = map[string]string{"shards": strconv.Itoa(s)}
+		c.Metrics["speedup_vs_single"] = 1
+		if len(rec.Cells) > 0 && rec.Cells[0].Metrics["events_per_sec"] > 0 {
+			c.Metrics["speedup_vs_single"] = c.Metrics["events_per_sec"] / rec.Cells[0].Metrics["events_per_sec"]
+		}
+		rec.Cells = append(rec.Cells, c)
+	}
+	return rec, nil
+}
+
+// distinctShards resolves every shard count the way shard.New does (0
+// = automatic) and returns each distinct count once, led by 1: the
+// one-shard engine is the baseline cell of every sharding sweep.
+func distinctShards(pol window.Policy, counts []int) []int {
+	out := []int{1}
+	for _, s := range counts {
+		eng := shard.New(pol, s)
+		n := eng.Shards()
+		eng.Close()
+		if !slices.Contains(out, n) {
+			out = append(out, n)
 		}
 	}
-	return rep, nil
+	return out
 }
 
-// Format renders the report as an aligned text table.
-func (r ThroughputReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "throughput — %d queries (n=%d, k=%d), window N=%d, GOMAXPROCS=%d\n",
-		r.Queries, r.QueryLen, r.K, r.Window, r.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-12s%10s%14s%12s%10s\n", "config", "events", "events/sec", "mean ms", "speedup")
-	for _, pt := range r.Points {
-		fmt.Fprintf(&b, "%-12s%10d%14.1f%12.4f%9.2fx\n",
-			pt.Config, pt.Events, pt.EventsPerSec, pt.MeanMs, pt.SpeedupVsSingle)
+// primed fills eng's count window of win documents and registers
+// `queries` standing queries, the steady state the sharding sweeps
+// measure from, and returns the stream to continue from.
+func primed(p Profile, cfg corpus.SynthConfig, eng *shard.Engine, queries, queryLen, win int) (*stream.Stream, error) {
+	qSynth, err := corpus.NewSynth(withSeed(cfg, 7777), vsm.Cosine{})
+	if err != nil {
+		return nil, err
 	}
-	if r.GOMAXPROCS == 1 {
-		fmt.Fprintf(&b, "note: GOMAXPROCS=1 — shard fan-out cannot run in parallel on this host; expect the sharded rows to trail the single cell.\n")
+	dSynth, err := corpus.NewSynth(cfg, vsm.Cosine{})
+	if err != nil {
+		return nil, err
 	}
-	return b.String()
+	str := stream.New(dSynth.Document, p.Rate, cfg.Seed+1, time.Unix(0, 0))
+	for i := 0; i < win; i++ {
+		if err := eng.Process(str.Next()); err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i < queries; i++ {
+		if err := eng.Register(qSynth.Query(model.QueryID(i+1), p.K, queryLen)); err != nil {
+			return nil, err
+		}
+	}
+	return str, nil
 }
 
-// JSON renders the report for BENCH_*.json files.
-func (r ThroughputReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
+func throughputCell(p Profile, cfg corpus.SynthConfig, eng *shard.Engine, queries, queryLen, win, events int) (Cell, error) {
+	str, err := primed(p, cfg, eng, queries, queryLen, win)
+	if err != nil {
+		return Cell{}, err
+	}
+	done := 0
+	start := time.Now()
+	for done < events {
+		if err := eng.Process(str.Next()); err != nil {
+			return Cell{}, err
+		}
+		done++
+		if p.MaxMeasure > 0 && time.Since(start) > p.MaxMeasure {
+			break
+		}
+	}
+	wall := time.Since(start)
+	return Cell{Metrics: map[string]float64{
+		"events":         float64(done),
+		"events_per_sec": float64(done) / wall.Seconds(),
+		"mean_ms":        float64(wall.Nanoseconds()) / 1e6 / float64(done),
+		"wall_ms":        float64(wall.Nanoseconds()) / 1e6,
+	}}, nil
+}
